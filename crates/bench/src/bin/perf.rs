@@ -13,8 +13,10 @@
 //! * `full` — live execution: the executor walk feeds the cycle-level
 //!   pipeline directly.
 //! * `replay` — trace-driven: the same stream decoded from an
-//!   `fe-trace` recording (recorded once per workload, untimed). This
-//!   is the *serial* reference the batch speedup is judged against.
+//!   `fe-trace` recording (recorded once per workload, untimed), one
+//!   cell at a time. This is the one-cell reference the batch speedup
+//!   is judged against; it runs the same driver and accelerations, so
+//!   the ratio isolates what batching adds.
 //! * `sampled` — interval sampling with functional warming over the
 //!   recorded trace (the paper-scale mode). Its MIPS counts *covered*
 //!   instructions — skip + warm + detail — which is precisely why
@@ -23,9 +25,9 @@
 //!   recording drives every scheme's pipeline in lockstep. Per-cell
 //!   numbers are *effective* MIPS (the group's wall clock split evenly
 //!   across its cells), so the batch column is directly comparable to
-//!   the serial `replay` column for the same cell.
+//!   the one-cell `replay` column for the same cell.
 //! * `batch-sampled` — the batch engine in sampled mode, against the
-//!   serial `sampled` column.
+//!   one-cell `sampled` column.
 //!
 //! Wall-clock numbers live only in `BENCH_perf.json`. Deterministic
 //! sweep reports (`BENCH_fig*.json`, the pinned engine fixture) carry
@@ -201,12 +203,12 @@ fn main() {
             let wall = t0.elapsed().as_secs_f64() / specs.len() as f64;
             for (si, spec) in specs.iter().enumerate() {
                 // Self-check: the batch engine must be bit-identical to
-                // the serial trace-driven run.
+                // the one-cell trace-driven run.
                 if let Some(replay) = &replay_stats[si] {
                     assert_eq!(
                         &stats[si],
                         replay,
-                        "batch diverged from serial replay on ({}, {})",
+                        "batch diverged from one-cell replay on ({}, {})",
                         wl.name,
                         spec.label(),
                     );
@@ -233,7 +235,7 @@ fn main() {
                     assert_eq!(
                         &stats[si],
                         sampled,
-                        "batch-sampled diverged from serial sampled on ({}, {})",
+                        "batch-sampled diverged from one-cell sampled on ({}, {})",
                         wl.name,
                         spec.label(),
                     );
@@ -264,17 +266,17 @@ fn main() {
         }
     }
     if let Some(s) = speedup(&cells, "batch", "replay") {
-        println!("\nbatch speedup over serial replay: {s:.2}x");
+        println!("\nbatch speedup over one-cell replay: {s:.2}x");
     }
     if let Some(s) = speedup(&cells, "batch-sampled", "sampled") {
-        println!("batch-sampled speedup over serial sampled: {s:.2}x");
+        println!("batch-sampled speedup over one-cell sampled: {s:.2}x");
     }
 
     write_perf_json(&cells, len, sampling, &modes);
 
     // The CI regression floor. Gate on the batch pool when it was
     // measured — sweeps run batched by default, so that is the
-    // throughput that matters — falling back to serial full detail,
+    // throughput that matters — falling back to one-cell full detail,
     // then to the first enabled mode alone. Pooling sampled
     // covered-MIPS with timed modes would inflate the gated number far
     // past any useful floor, hence a single-mode gate.
@@ -415,9 +417,9 @@ fn write_perf_json(cells: &[PerfCell], len: RunLength, sampling: SamplingSpec, m
         ),
         ("full_mips".into(), mode_mips("full")),
         ("batch_mips".into(), mode_mips("batch")),
-        // The tentpole ratio: shared-decode batch engine over the
-        // serial trace-driven path, full detail. CI asserts a floor on
-        // this field.
+        // What batching adds (shared decode, shared warm, retire-share)
+        // over one-cell trace-driven runs, full detail. CI asserts a
+        // floor on this field.
         ("batch_speedup".into(), ratio("batch", "replay")),
         (
             "batch_sampled_speedup".into(),

@@ -200,7 +200,7 @@ pub fn submit_job(addr: &str, spec: &JobSpec) -> io::Result<ClientOutcome> {
                         .and_then(|v| v.as_str().map(str::to_string))
                         .map_err(fail)?,
                     cached: matches!(msg.get("cached"), Some(Json::Bool(true))),
-                    // Absent for serial/cached cells and on daemons
+                    // Absent for cached and mix cells and on daemons
                     // predating the batch engine.
                     batch_id: match msg.get("batch_id") {
                         Some(Json::U64(id)) => Some(*id),

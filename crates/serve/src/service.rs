@@ -214,7 +214,7 @@ pub struct JobProgress {
     pub cached: bool,
     /// Batch-group id when the cell ran on the sweep's shared-decode
     /// batch engine (cells of one group share one trace pass); `None`
-    /// for serial, cached, and mix cells. Additive — absent on the
+    /// for cached and mix cells. Additive — absent on the
     /// wire for non-batched cells.
     pub batch_id: Option<u64>,
 }

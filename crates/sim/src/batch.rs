@@ -1,10 +1,11 @@
 //! The single-decode multi-scheme batch engine.
 //!
 //! A sweep is N cells timing the *same* retired-instruction stream
-//! under different delivery schemes. The serial path decodes the shared
-//! trace once per cell; on a single-core host that decode (and the
-//! executor walk behind it) is pure replicated work. This module runs a
-//! whole same-workload scheme group in one pass:
+//! under different delivery schemes. Decoding the shared trace once per
+//! cell (and the executor walk behind it) is pure replicated work on a
+//! single-core host, so every run goes through this module as one
+//! batch: `Experiment` hands it each workload's uncached cells, and the
+//! one-cell wrappers in [`runner`](crate::runner) run a batch of one.
 //!
 //! ```text
 //!            ┌────────────── SharedWindow ──────────────┐
@@ -20,26 +21,16 @@
 //!   pipeline pulls through its own [`SharedCursor`]
 //!   ([`SourceKind::Shared`]), so every block is decoded exactly once
 //!   for the whole group and the window is pruned as the trailing
-//!   cursor advances.
-//! * [`BatchSimulator`] owns the cell array ([`Simulator`] pipelines in
-//!   a contiguous `Vec`, each cell's hot per-pipeline state — TAGE fold
-//!   scratch, BTB set-maps, fetch-fill scratch — allocated per cell and
-//!   touched in round-robin order) and advances the cells in bounded
-//!   retired-instruction rounds. Chunked rounds rather than strict
-//!   cycle lockstep: a measured probe showed per-cycle interleaving
-//!   thrashes every cell's predictor tables in and out of cache, while
-//!   ~10⁶-instruction chunks keep each cell's tables hot *and* still
-//!   bound the window.
-//! * Each cell runs with the batch accelerations armed: the TAGE fold
-//!   scratch (`Tage::enable_fold_scratch` in `fe-uarch`, O(1)
-//!   folded-history maintenance instead of
-//!   per-lookup folding — the single hottest loop in the simulator)
-//!   and quiescent-span skipping
-//!   (`Simulator::try_skip_quiet_span`, bulk-accounting stretches
-//!   where every stage is provably inert). Both are bit-identical by
-//!   construction and double-checked by `tests/batch_engine.rs`
-//!   byte-for-byte against the serial path, which keeps the classic
-//!   code as the reference.
+//!   cursor advances. A cursor left alone — every other cursor
+//!   released — skips by forwarding to the source's own `skip_instrs`,
+//!   so a batch of one keeps the replayer's decode-skip.
+//! * [`BatchSimulator`] owns the cells — [`Simulator`]s, each advanced
+//!   through the one `Phase` driver every run uses — and round-robins
+//!   them in bounded retired-instruction rounds. Chunked rounds rather
+//!   than strict cycle lockstep: a measured probe showed per-cycle
+//!   interleaving thrashes every cell's predictor tables in and out of
+//!   cache, while ~10⁶-instruction chunks keep each cell's tables hot
+//!   *and* still bound the window.
 //! * In sampled mode the *initial functional warm* is shared too:
 //!   cells with the same warmup length form a group whose leader walks
 //!   the warm window once, feeding every follower's scheme the same
@@ -48,9 +39,10 @@
 //!   retire RAS, memory image) are installed into each follower, which
 //!   merely seeks its cursor past the warmed prefix. The structures
 //!   depend only on the retired stream — never on the scheme riding
-//!   above them, and no in-tree scheme's warm hook writes through the
-//!   front-end context — so each follower lands in exactly the state
-//!   its own serial warm would have produced.
+//!   above them, and no scheme's warm hook writes through the front-end
+//!   context — so each follower lands in exactly the state its own warm
+//!   would have produced. Cells that restored a warmed-state
+//!   [snapshot](crate::snapshot) have nothing to warm and sit out.
 //! * Cells whose conditional retirement streams are provably identical
 //!   share the TAGE retire-side work: the first cell to reach each
 //!   retirement computes the tables' evolution once and records the
@@ -58,14 +50,13 @@
 //!   history)` key and replay the writes instead of re-deriving them
 //!   (see [`TageShare`] and `setup_retire_share`). Any key mismatch
 //!   permanently drops the cell back to local computation, so the
-//!   share can only ever reproduce — never approximate — the serial
+//!   share can only ever reproduce — never approximate — the cell's own
 //!   result. `SHOTGUN_NO_RETIRE_SHARE=1` switches it off for triage.
 //!
-//! Statistics are per-cell exactly as before: every cell keeps its own
-//! pipeline, memory system, RNG stream, and stall accounting — only
-//! the *decode* is shared. `Experiment::run` routes compatible cell
-//! groups here (see its docs for the grouping rule) and falls back to
-//! the serial path for singletons and incompatible cells.
+//! Statistics are per cell: every cell keeps its own pipeline, memory
+//! system, RNG stream, and stall accounting — only the decode (and the
+//! initial warm) is shared — so each cell is byte-identical to the
+//! same cell run alone.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -73,12 +64,13 @@ use std::rc::Rc;
 
 use fe_cfg::Program;
 use fe_model::{BlockSource, MachineConfig, RetiredBlock, SimStats};
-use fe_trace::Trace;
+use fe_trace::{ProgramFingerprint, Trace};
 use fe_uarch::{MemorySystem, TageShare};
 
-use crate::engine::{EngineScheme, SchemeKind, Simulator};
+use crate::engine::{EngineScheme, Phase, Simulator};
 use crate::runner::{assert_trace_matches, RunLength, SchemeSpec};
-use crate::sampling::{SampledStats, SamplingSpec, RAMP_CAP};
+use crate::sampling::{SampledStats, SamplingSpec};
+use crate::snapshot::{SnapshotKey, SnapshotStore};
 use crate::source::SourceKind;
 
 /// Retired instructions each cell advances per round-robin turn. Large
@@ -101,6 +93,9 @@ struct WindowInner<'p> {
     /// Per-cursor absolute stream index (`u64::MAX` = released).
     pos: Vec<u64>,
     since_prune: u32,
+    /// A lone cursor's skip advanced the source past blocks the window
+    /// never buffered: the stream start is gone.
+    seeked: bool,
 }
 
 impl WindowInner<'_> {
@@ -151,11 +146,26 @@ impl WindowInner<'_> {
     }
 
     fn skip_for(&mut self, id: usize, min_instrs: u64) -> u64 {
+        // The leading cursor with every other cursor released: nobody
+        // can need the skipped blocks, so the source's own skip (a
+        // decode-skip on a replayer) serves it. Positions are only
+        // compared with each other, so this cursor's stays put and the
+        // window restarts empty there.
+        let alone = self
+            .pos
+            .iter()
+            .enumerate()
+            .all(|(i, &p)| i == id || p == u64::MAX);
+        if alone && self.pos[id] - self.base == self.buf.len() as u64 {
+            self.buf.clear();
+            self.base = self.pos[id];
+            self.seeked = true;
+            return self.source.skip_instrs(min_instrs);
+        }
         // Same contract as `BlockSource::skip_instrs`: whole blocks
         // until at least `min_instrs`, so a shared cursor lands on the
         // exact stream position a private replayer would. (The blocks
-        // are decoded for the window — a later cursor may need them —
-        // so decode-skip does not apply here.)
+        // are decoded for the window — a later cursor may need them.)
         let mut skipped = 0;
         while skipped < min_instrs {
             match self.next_for(id) {
@@ -191,6 +201,7 @@ impl<'p> SharedWindow<'p> {
                 base: 0,
                 pos: Vec::new(),
                 since_prune: 0,
+                seeked: false,
             })),
         }
     }
@@ -199,12 +210,12 @@ impl<'p> SharedWindow<'p> {
     ///
     /// # Panics
     ///
-    /// Panics if the window has already been pruned past the stream
-    /// start — create every cursor before any of them reads.
+    /// Panics if the window has already moved past the stream start —
+    /// create every cursor before any of them reads.
     pub fn cursor(&self) -> SharedCursor<'p> {
         let mut inner = self.inner.borrow_mut();
-        assert_eq!(
-            inner.base, 0,
+        assert!(
+            inner.base == 0 && !inner.seeked,
             "shared cursors must be created before consumption starts"
         );
         inner.pos.push(0);
@@ -212,14 +223,6 @@ impl<'p> SharedWindow<'p> {
             inner: Rc::clone(&self.inner),
             id: inner.pos.len() - 1,
         }
-    }
-
-    /// Marks a cursor finished so the window no longer retains blocks
-    /// for it.
-    fn release(&self, id: usize) {
-        let mut inner = self.inner.borrow_mut();
-        inner.pos[id] = u64::MAX;
-        inner.prune();
     }
 }
 
@@ -250,161 +253,19 @@ impl SharedCursor<'_> {
     pub fn next_blocks_into(&mut self, n: usize, out: &mut VecDeque<RetiredBlock>) -> usize {
         self.inner.borrow_mut().next_n_for(self.id, n, out)
     }
-}
 
-/// Where one cell is in its run — the serial control flow of
-/// `Simulator::run` / `run_sampled` unrolled into a resumable state
-/// machine so cells can advance in bounded turns.
-enum Phase {
-    /// Full detail: timed warmup before measurement starts.
-    Warmup,
-    /// Full detail: measuring until `retired_total` reaches `end`.
-    Measure {
-        end: u64,
-    },
-    /// Sampled: initial functional warm, `remaining` instructions to
-    /// go. Chunked against the running remainder, which lands on the
-    /// same block boundary as one whole-length warm.
-    InitWarm {
-        remaining: u64,
-    },
-    /// Sampled: the interval loop, one whole interval per turn.
-    Intervals {
-        end: u64,
-    },
-    Done,
+    /// Marks this cursor finished so the window no longer retains
+    /// blocks for it.
+    pub(crate) fn release(&mut self) {
+        let mut inner = self.inner.borrow_mut();
+        inner.pos[self.id] = u64::MAX;
+        inner.prune();
+    }
 }
 
 struct BatchCell<'p> {
     sim: Simulator<'p>,
-    len: RunLength,
     label: String,
-    cursor_id: usize,
-    phase: Phase,
-    stats: Option<SimStats>,
-    intervals: Vec<SimStats>,
-    truncated: bool,
-}
-
-impl<'p> BatchCell<'p> {
-    fn done(&self) -> bool {
-        matches!(self.phase, Phase::Done)
-    }
-
-    /// One tick with the quiescent-span fast path.
-    #[inline]
-    fn tick(&mut self) {
-        if self.sim.try_skip_quiet_span() == 0 {
-            self.sim.cycle();
-        }
-    }
-
-    /// Advances until this cell has retired `target` instructions (or
-    /// finished), mirroring the serial control flow phase for phase.
-    fn advance(&mut self, target: u64, sampling: Option<SamplingSpec>, window: &SharedWindow<'p>) {
-        loop {
-            if self.done() || self.sim.state.retired_total >= target {
-                return;
-            }
-            match self.phase {
-                Phase::Warmup => {
-                    if self.sim.state.retired_total >= self.len.warmup
-                        || self.sim.state.stream_ended()
-                    {
-                        self.sim.begin_measurement();
-                        let end = self.sim.state.retired_total + self.len.measure;
-                        self.phase = Phase::Measure { end };
-                    } else {
-                        self.tick();
-                    }
-                }
-                Phase::Measure { end } => {
-                    if self.sim.state.retired_total >= end || self.sim.state.stream_ended() {
-                        self.stats = Some(self.sim.finalize());
-                        self.finish(window);
-                    } else {
-                        self.tick();
-                    }
-                }
-                Phase::InitWarm { remaining } => {
-                    if remaining == 0 || self.sim.state.stream_ended() {
-                        let end = self
-                            .sim
-                            .state
-                            .retired_total
-                            .saturating_add(self.len.measure);
-                        self.phase = Phase::Intervals { end };
-                    } else {
-                        // Chunked against the running remainder: each
-                        // chunk stops at the first block boundary at or
-                        // past its sub-target, so the final boundary is
-                        // the first one at or past the whole warmup —
-                        // exactly where one unchunked warm would stop.
-                        // `warmed < chunk` only happens when the source
-                        // ran dry, which makes `stream_ended()` true
-                        // and transitions on the next turn.
-                        let chunk = remaining.min(ROUND_INSTRS);
-                        let warmed = self.sim.warm_functional(chunk);
-                        self.phase = Phase::InitWarm {
-                            remaining: remaining.saturating_sub(warmed),
-                        };
-                    }
-                }
-                Phase::Intervals { end } => {
-                    let spec = sampling.expect("sampled phase without a sampling spec");
-                    if self.sim.state.retired_total >= end || self.sim.state.stream_ended() {
-                        self.finish(window);
-                        continue;
-                    }
-                    self.step_interval(end, spec, window);
-                }
-                Phase::Done => unreachable!("checked above"),
-            }
-        }
-    }
-
-    /// One iteration of the serial `run_sampled_measure` loop: tail
-    /// warm, or skip + functional warm + timed detail window.
-    fn step_interval(&mut self, end: u64, spec: SamplingSpec, window: &SharedWindow<'p>) {
-        let budget = (end - self.sim.state.retired_total).min(spec.interval);
-        if budget < spec.detail {
-            // Tail shorter than a detail window: cover it functionally
-            // (a sub-length measured window would skew the interval
-            // statistics — same rule as the serial loop).
-            self.sim.warm_functional(budget);
-            return;
-        }
-        let detail = spec.detail;
-        let fwarm = spec.warmup.min(budget - detail);
-        let skip = budget - detail - fwarm;
-        self.sim.skip_functional(skip);
-        self.sim.warm_functional(fwarm);
-        if self.sim.state.stream_ended() || !self.sim.begin_interval() {
-            self.finish(window);
-            return;
-        }
-        let ramp = (detail / 16).min(RAMP_CAP);
-        let ramp_end = self.sim.state.retired_total + ramp;
-        while self.sim.state.retired_total < ramp_end && !self.sim.state.stream_ended() {
-            self.tick();
-        }
-        self.sim.begin_measurement();
-        let measure_end = self.sim.state.retired_total + (detail - ramp);
-        while self.sim.state.retired_total < measure_end && !self.sim.state.stream_ended() {
-            self.tick();
-        }
-        let stats = self.sim.finalize();
-        if stats.instructions > 0 {
-            self.intervals.push(stats);
-        }
-    }
-
-    fn finish(&mut self, window: &SharedWindow<'p>) {
-        self.truncated = self.sim.state.source_dry;
-        self.phase = Phase::Done;
-        self.sim.release_tage_share();
-        window.release(self.cursor_id);
-    }
 }
 
 /// N scheme pipelines over one decoded stream; see the module docs.
@@ -412,12 +273,13 @@ impl<'p> BatchCell<'p> {
 /// Add every cell with [`Self::add_cell`], then consume the batch with
 /// [`Self::run`] (full detail) or [`Self::run_sampled`] (interval
 /// sampling). Results come back in cell-insertion order and are
-/// byte-identical to running each cell alone through the serial path.
+/// byte-identical to running each cell alone.
 pub struct BatchSimulator<'p> {
     program: &'p Program,
     machine: MachineConfig,
     seed: u64,
     sampling: Option<SamplingSpec>,
+    snapshots: Option<(&'p SnapshotStore, ProgramFingerprint)>,
     window: SharedWindow<'p>,
     cells: Vec<BatchCell<'p>>,
 }
@@ -429,8 +291,8 @@ impl<'p> BatchSimulator<'p> {
     ///
     /// # Panics
     ///
-    /// Panics if `machine` fails validation (on the first `add_cell`)
-    /// or `sampling` fails [`SamplingSpec::validate`].
+    /// The first [`Self::add_cell`] panics if `machine` fails
+    /// validation or `sampling` fails [`SamplingSpec::validate`].
     pub fn new(
         program: &'p Program,
         machine: MachineConfig,
@@ -438,20 +300,27 @@ impl<'p> BatchSimulator<'p> {
         seed: u64,
         sampling: Option<SamplingSpec>,
     ) -> Self {
-        if let Some(spec) = sampling {
-            if let Err(e) = spec.validate() {
-                // audit-allow(no-unchecked-panic): constructor contract — an invalid sampling spec is a caller bug, not a runtime condition; Experiment::try_run is the typed path
-                panic!("invalid sampling spec: {e}");
-            }
-        }
         BatchSimulator {
             program,
             machine,
             seed,
             sampling,
+            snapshots: None,
             window: SharedWindow::new(source),
             cells: Vec::new(),
         }
+    }
+
+    /// Lets sampled cells restore their warmed state from `store` (or
+    /// capture it there after warming); `fingerprint` identifies the
+    /// program the stream belongs to.
+    pub(crate) fn with_snapshots(
+        mut self,
+        store: &'p SnapshotStore,
+        fingerprint: ProgramFingerprint,
+    ) -> Self {
+        self.snapshots = Some((store, fingerprint));
+        self
     }
 
     /// Adds one scheme cell running `len` instructions. Cells may have
@@ -461,44 +330,35 @@ impl<'p> BatchSimulator<'p> {
     /// # Panics
     ///
     /// In sampled mode, panics if `len.measure` cannot fit one detail
-    /// window — same guard as the serial sampled run.
+    /// window (see [`Simulator::run_sampled`]).
     pub fn add_cell(&mut self, spec: &SchemeSpec, len: RunLength) {
-        if let Some(s) = self.sampling {
-            assert!(
-                len.measure >= s.detail,
-                "sampled batch cell measures {} instructions — too short for even one \
-                 {}-instruction detail window (shrink the spec or run full detail)",
-                len.measure,
-                s.detail,
-            );
-        }
-        let cursor = self.window.cursor();
-        let cursor_id = cursor.id;
-        let scheme = spec.build(&self.machine);
-        let mem = MemorySystem::new(&self.machine);
         let mut sim = Simulator::with_source(
             self.program,
             self.machine.clone(),
-            scheme,
+            spec.build(&self.machine),
             self.seed,
-            mem,
-            cursor,
+            MemorySystem::new(&self.machine),
+            self.window.cursor(),
         );
-        sim.enable_batch_accel();
+        match self.sampling {
+            Some(sampling) => {
+                let slot = self.snapshots.map(|(store, fingerprint)| {
+                    let key = SnapshotKey::for_run(
+                        fingerprint,
+                        &self.machine,
+                        spec,
+                        self.seed,
+                        len.warmup,
+                    );
+                    (store, key)
+                });
+                sim.start_sampled(len.warmup, len.measure, sampling, slot);
+            }
+            None => sim.start_full(len.warmup, len.measure),
+        }
         self.cells.push(BatchCell {
             sim,
-            len,
             label: spec.label(),
-            cursor_id,
-            phase: match self.sampling {
-                Some(_) => Phase::InitWarm {
-                    remaining: len.warmup,
-                },
-                None => Phase::Warmup,
-            },
-            stats: None,
-            intervals: Vec::new(),
-            truncated: false,
         });
     }
 
@@ -515,30 +375,31 @@ impl<'p> BatchSimulator<'p> {
     /// Wires a TAGE retire-share through every group of cells whose
     /// conditional retirement streams are provably identical, so one
     /// cell computes each table update and the rest replay the recorded
-    /// writes (see [`TageShare`]). Real statically-dispatched schemes
-    /// all discover direction mispredicts at retirement and flush, so
-    /// their surviving prediction-time history snapshots equal the
-    /// retired history — the share key `(pc, taken, hist)` is then a
-    /// pure function of the shared stream. Two kinds of cell stay out:
-    /// `Ideal` cells keep mispredicted bits in their speculative
-    /// history (no flush), so their keys diverge from the group's; and
-    /// dynamic-dispatch (`Other`) schemes hold a `&mut` to the cell's
-    /// TAGE through the front-end context, voiding the identical-state
-    /// induction. In sampled mode cells additionally group by run
-    /// lengths, whose warm/skip schedule shapes the retirement stream.
+    /// writes (see [`TageShare`]). Real schemes all discover direction
+    /// mispredicts at retirement and flush, so their surviving
+    /// prediction-time history snapshots equal the retired history —
+    /// the share key `(pc, taken, hist)` is then a pure function of the
+    /// shared stream. Two kinds of cell stay out: `Ideal` cells keep
+    /// mispredicted bits in their speculative history (no flush), so
+    /// their keys diverge from the group's; and cells that restored a
+    /// snapshot skip the warm retirements the group logs. In sampled
+    /// mode cells additionally group by run lengths, whose warm/skip
+    /// schedule shapes the retirement stream.
     fn setup_retire_share(&mut self) {
         let mut by_len: Vec<((u64, u64), Vec<usize>)> = Vec::new();
         for (i, cell) in self.cells.iter().enumerate() {
-            match cell.sim.state.scheme {
-                EngineScheme::Real(SchemeKind::Other(_)) | EngineScheme::Ideal => continue,
-                EngineScheme::Real(_) => {}
+            if matches!(cell.sim.state.scheme, EngineScheme::Ideal) {
+                continue;
             }
-            // Full-detail cells all retire every block from the stream
-            // start — run lengths only decide when they stop — so they
-            // form a single group.
-            let key = match self.sampling {
-                Some(_) => (cell.len.warmup, cell.len.measure),
-                None => (0, 0),
+            let key = match cell.sim.phase {
+                // Full-detail cells all retire every block from the
+                // stream start — run lengths only decide when they
+                // stop — so they form a single group.
+                Phase::Warmup { .. } => (0, 0),
+                Phase::InitWarm {
+                    remaining, measure, ..
+                } => (remaining, measure),
+                _ => continue,
             };
             match by_len.iter_mut().find(|(k, _)| *k == key) {
                 Some((_, idxs)) => idxs.push(i),
@@ -556,33 +417,26 @@ impl<'p> BatchSimulator<'p> {
         }
     }
 
-    /// Runs every sampled cell's initial functional warm, sharing the
-    /// walk across same-warmup-length cells (see the module docs).
-    /// Groups advance in bounded per-round chunks so the shared window
-    /// stays pruned against cells warming solo or in other groups.
+    /// Runs every sampled cell's initial warm, sharing the walk across
+    /// same-warmup-length cells (see the module docs). Groups and lone
+    /// cells advance in bounded per-round chunks so the shared window
+    /// stays pruned.
     fn shared_warm(&mut self) {
-        let mut groups: Vec<Vec<usize>> = Vec::new();
-        let mut solo: Vec<usize> = Vec::new();
         let mut by_len: Vec<(u64, Vec<usize>)> = Vec::new();
+        let mut solo: Vec<usize> = Vec::new();
         for (i, cell) in self.cells.iter().enumerate() {
-            let Phase::InitWarm { remaining } = cell.phase else {
-                continue;
-            };
-            // Dynamic-dispatch schemes are opaque: their warm hook may
-            // write through the front-end context, which would leak
-            // into the leader's shared structures. They warm solo.
-            if matches!(
-                cell.sim.state.scheme,
-                EngineScheme::Real(SchemeKind::Other(_))
-            ) {
-                solo.push(i);
-                continue;
-            }
-            match by_len.iter_mut().find(|(len, _)| *len == remaining) {
-                Some((_, idxs)) => idxs.push(i),
-                None => by_len.push((remaining, vec![i])),
+            match cell.sim.phase {
+                Phase::InitWarm { remaining, .. } => {
+                    match by_len.iter_mut().find(|(len, _)| *len == remaining) {
+                        Some((_, idxs)) => idxs.push(i),
+                        None => by_len.push((remaining, vec![i])),
+                    }
+                }
+                Phase::Seek { .. } => solo.push(i),
+                _ => {}
             }
         }
+        let mut groups: Vec<Vec<usize>> = Vec::new();
         for (_, idxs) in by_len {
             if idxs.len() >= 2 {
                 groups.push(idxs);
@@ -596,7 +450,7 @@ impl<'p> BatchSimulator<'p> {
                 progressed |= self.shared_warm_round(group);
             }
             for &i in &solo {
-                progressed |= self.solo_warm_round(i);
+                progressed |= self.cells[i].sim.init_warm_step(ROUND_INSTRS);
             }
             if !progressed {
                 return;
@@ -612,7 +466,7 @@ impl<'p> BatchSimulator<'p> {
     /// Returns `true` while warming still has work left.
     fn shared_warm_round(&mut self, group: &[usize]) -> bool {
         let leader = group[0];
-        let Phase::InitWarm { remaining } = self.cells[leader].phase else {
+        let Phase::InitWarm { remaining, .. } = self.cells[leader].sim.phase else {
             return false;
         };
         if remaining > 0 && !self.cells[leader].sim.state.stream_ended() {
@@ -623,29 +477,26 @@ impl<'p> BatchSimulator<'p> {
                     std::mem::replace(&mut self.cells[i].sim.state.scheme, EngineScheme::Ideal)
                 })
                 .collect();
-            let warmed = self.cells[leader]
-                .sim
-                .warm_functional_with(chunk, &mut riders);
-            for (&i, scheme) in group[1..].iter().zip(riders) {
-                self.cells[i].sim.state.scheme = scheme;
-                // Identical streams: the follower's skip lands on the
-                // exact block boundary the leader's warm stopped at.
-                self.cells[i].sim.skip_functional(warmed);
-            }
+            let leader_sim = &mut self.cells[leader].sim;
+            let warmed = leader_sim.warm_functional_with(chunk, &mut riders);
+            leader_sim.consume_warm(warmed);
             // A leader in a retire-share group recorded its warm
             // retirements through its cursor; pull the followers' past
             // them each round so the share log prunes instead of
             // buffering the whole warm. (The followers never consume
             // warm deltas — the leader's warmed structures are
             // installed wholesale below.)
-            if let Some(seq) = self.cells[leader].sim.tage_share_seq() {
-                for &i in &group[1..] {
-                    self.cells[i].sim.sync_tage_share(seq);
+            let seq = leader_sim.tage_share_seq();
+            for (&i, scheme) in group[1..].iter().zip(riders) {
+                let sim = &mut self.cells[i].sim;
+                sim.state.scheme = scheme;
+                // Identical streams: the follower's skip lands on the
+                // exact block boundary the leader's warm stopped at.
+                sim.skip_functional(warmed);
+                sim.consume_warm(warmed);
+                if let Some(seq) = seq {
+                    sim.sync_tage_share(seq);
                 }
-            }
-            let left = remaining.saturating_sub(warmed);
-            for &i in group {
-                self.cells[i].phase = Phase::InitWarm { remaining: left };
             }
             true
         } else {
@@ -655,58 +506,30 @@ impl<'p> BatchSimulator<'p> {
                 .expect("batch cells own private, snapshottable memory systems");
             let dry = self.cells[leader].sim.state.source_dry;
             let seq = self.cells[leader].sim.tage_share_seq();
-            for (k, &i) in group.iter().enumerate() {
-                if k > 0 {
-                    self.cells[i].sim.install_warm_structures(&structures);
-                    self.cells[i].sim.state.source_dry = dry;
-                    // The installed TAGE already reflects the leader's
-                    // warm retirements: reposition the follower's share
-                    // cursor to match.
-                    if let Some(seq) = seq {
-                        self.cells[i].sim.sync_tage_share(seq);
-                    }
+            for &i in &group[1..] {
+                let sim = &mut self.cells[i].sim;
+                sim.install_warm_structures(&structures);
+                sim.state.source_dry = dry;
+                // The installed TAGE already reflects the leader's warm
+                // retirements: reposition the follower's share cursor
+                // to match.
+                if let Some(seq) = seq {
+                    sim.sync_tage_share(seq);
                 }
-                let end = self.cells[i]
-                    .sim
-                    .state
-                    .retired_total
-                    .saturating_add(self.cells[i].len.measure);
-                self.cells[i].phase = Phase::Intervals { end };
+            }
+            for &i in group {
+                // The warm is complete: store snapshots, enter the
+                // interval loop.
+                self.cells[i].sim.init_warm_step(0);
             }
             false
         }
     }
 
-    /// One bounded chunk of an ungrouped cell's initial warm — the
-    /// `Phase::InitWarm` arm of `BatchCell::advance`, run here so solo
-    /// cells keep pace with the shared groups and the window stays
-    /// bounded. Returns `true` while warming still has work left.
-    fn solo_warm_round(&mut self, i: usize) -> bool {
-        let cell = &mut self.cells[i];
-        let Phase::InitWarm { remaining } = cell.phase else {
-            return false;
-        };
-        if remaining == 0 || cell.sim.state.stream_ended() {
-            let end = cell
-                .sim
-                .state
-                .retired_total
-                .saturating_add(cell.len.measure);
-            cell.phase = Phase::Intervals { end };
-            false
-        } else {
-            let chunk = remaining.min(ROUND_INSTRS);
-            let warmed = cell.sim.warm_functional(chunk);
-            cell.phase = Phase::InitWarm {
-                remaining: remaining.saturating_sub(warmed),
-            };
-            true
-        }
-    }
-
-    /// Round-robin drive: every cell advances to the same retired-
-    /// instruction quota each round, so no cursor runs more than one
-    /// round (plus pipeline lookahead) ahead of the slowest.
+    /// Round-robin drive: the shared initial warm first, then every
+    /// cell advances to the same retired-instruction quota each round,
+    /// so no cursor runs more than one round (plus pipeline lookahead)
+    /// ahead of the slowest.
     fn drive(&mut self) {
         // Escape hatch for A/B perf triage and bisecting: the share is
         // bit-exact by construction, but being able to switch it off
@@ -716,15 +539,13 @@ impl<'p> BatchSimulator<'p> {
         if std::env::var_os("SHOTGUN_NO_RETIRE_SHARE").is_none() {
             self.setup_retire_share();
         }
-        if self.sampling.is_some() {
-            self.shared_warm();
-        }
+        self.shared_warm();
         let mut quota = ROUND_INSTRS;
         loop {
             let mut all_done = true;
             for cell in &mut self.cells {
-                cell.advance(quota, self.sampling, &self.window);
-                all_done &= cell.done();
+                cell.sim.advance(quota);
+                all_done &= cell.sim.done();
             }
             if all_done {
                 return;
@@ -733,38 +554,51 @@ impl<'p> BatchSimulator<'p> {
         }
     }
 
+    /// Runs every cell to completion; each cell's measured windows in
+    /// insertion order — the one full-detail window, or every sampled
+    /// interval.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the shared source ran dry mid-run: a sweep cell
+    /// measured over a partial stream would be silently wrong.
+    pub(crate) fn run_windows(mut self) -> Vec<Vec<SimStats>> {
+        self.drive();
+        self.cells
+            .into_iter()
+            .map(|c| {
+                assert!(
+                    !c.sim.source_exhausted(),
+                    "batch cell `{}` ran dry mid-run — record at least \
+                     RunLength::trace_instrs instructions",
+                    c.label,
+                );
+                c.sim.measured
+            })
+            .collect()
+    }
+
     /// Runs every full-detail cell to completion; statistics in
     /// insertion order.
     ///
     /// # Panics
     ///
     /// Panics if the batch was built with a sampling spec, or if the
-    /// shared source ran dry mid-run (a sweep cell measured over a
-    /// partial stream would be silently wrong — same loud check as
-    /// `run_scheme_replayed`).
-    pub fn run(mut self) -> Vec<SimStats> {
+    /// shared source ran dry mid-run.
+    pub fn run(self) -> Vec<SimStats> {
         assert!(
             self.sampling.is_none(),
             "batch built with a sampling spec — use run_sampled"
         );
-        self.drive();
-        self.cells
+        self.run_windows()
             .into_iter()
-            .map(|c| {
-                assert!(
-                    !c.truncated,
-                    "batch cell `{}` ran dry mid-run — record at least \
-                     RunLength::trace_instrs instructions",
-                    c.label,
-                );
-                c.stats.expect("driven cell must finish")
-            })
+            .map(|mut windows| windows.remove(0))
             .collect()
     }
 
     /// Runs every sampled cell to completion; per-cell interval
     /// statistics in insertion order (truncation reported per cell,
-    /// exactly as the serial sampled run does).
+    /// exactly as [`Simulator::run_sampled`] does).
     ///
     /// # Panics
     ///
@@ -778,8 +612,8 @@ impl<'p> BatchSimulator<'p> {
         self.cells
             .into_iter()
             .map(|c| SampledStats {
-                intervals: c.intervals,
-                truncated: c.truncated,
+                truncated: c.sim.source_exhausted(),
+                intervals: c.sim.measured,
             })
             .collect()
     }
@@ -841,17 +675,14 @@ pub fn run_schemes_batch_sampled_replayed(
     for spec in specs {
         batch.add_cell(spec, len);
     }
-    let results = batch.run_sampled();
-    for (spec, stats) in specs.iter().zip(&results) {
-        assert!(
-            !stats.truncated,
-            "trace `{}` ran dry mid-sampled-run of `{}` — record at least \
-             RunLength::trace_instrs instructions",
-            trace.header().name,
-            spec.label(),
-        );
-    }
-    results
+    batch
+        .run_windows()
+        .into_iter()
+        .map(|intervals| SampledStats {
+            intervals,
+            truncated: false,
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -2,7 +2,19 @@
 //! per-cycle orchestrator over the staged pipeline in
 //! `crate::pipeline` (see that private module's docs for the
 //! stage-by-stage model and the README's "Simulator pipeline"
-//! diagram).
+//! diagram) — and the one run driver every run goes through.
+//!
+//! The driver is a resumable state machine (`Phase`): full-detail
+//! runs pass through timed warmup and measurement, sampled runs through
+//! the initial functional warm (or a snapshot restore) and the interval
+//! loop. [`Simulator::run`] and [`Simulator::run_sampled`] set a phase
+//! and advance it to completion; the [batch engine](crate::batch)
+//! advances N cells in bounded turns through the very same steps. Both
+//! bit-exact accelerations are always on: every simulator arms the TAGE
+//! fold scratch at construction, and every tick first tries to skip a
+//! provably quiet span. [`MultiSimulator`](crate::MultiSimulator) keeps
+//! its own per-cycle lockstep loop (its contexts share memory every
+//! cycle) and ticks through [`Simulator::tick_once`].
 
 use fe_cfg::{Executor, Program};
 use fe_model::{MachineConfig, SimStats};
@@ -12,9 +24,46 @@ use fe_uarch::{MemStats, MemorySystem};
 use crate::pipeline::{
     backend::Backend, bpu::Bpu, fetch::FetchUnit, stall, PipelineState, SUPPLY_CAP,
 };
+use crate::sampling::SamplingSpec;
+use crate::snapshot::{SnapshotKey, SnapshotStore};
 use crate::source::SourceKind;
 
 pub use crate::pipeline::{EngineScheme, SchemeKind};
+
+/// Where a snapshot-enabled sampled run stores its warmed state.
+pub(crate) type SnapshotSlot<'p> = Option<(&'p SnapshotStore, SnapshotKey)>;
+
+/// Where a run is: the warm / measure / interval control flow unrolled
+/// into a resumable state machine, so a run can advance in bounded
+/// turns (see [`Simulator::advance`]).
+#[derive(Clone, Copy)]
+pub(crate) enum Phase<'p> {
+    /// No run configured, or the run has finished.
+    Done,
+    /// Full detail: timed warmup until `retired_total` reaches `until`.
+    Warmup { until: u64, measure: u64 },
+    /// Full detail: measuring until `retired_total` reaches `end`.
+    Measure { end: u64 },
+    /// Sampled: initial functional warm, `remaining` instructions to
+    /// go. Chunked against the running remainder, which lands on the
+    /// same block boundary as one whole-length warm. On completion the
+    /// warmed state is put into `snapshot`, when set.
+    InitWarm {
+        remaining: u64,
+        measure: u64,
+        spec: SamplingSpec,
+        snapshot: SnapshotSlot<'p>,
+    },
+    /// Sampled: a restored snapshot already installed the warmed state;
+    /// fast-forward `remaining` instructions past the warmed prefix.
+    Seek {
+        remaining: u64,
+        measure: u64,
+        spec: SamplingSpec,
+    },
+    /// Sampled: the interval loop, one whole interval per step.
+    Intervals { end: u64, spec: SamplingSpec },
+}
 
 /// The simulator for one core running one workload under one scheme:
 /// the orchestrator that ticks the pipeline stages in order each cycle.
@@ -29,6 +78,10 @@ pub struct Simulator<'p> {
     base_cycle: u64,
     base_scheme_misses: u64,
     base_scheme_lookups: u64,
+    pub(crate) phase: Phase<'p>,
+    /// The run's measured windows: the one full-detail window, or every
+    /// sampled interval that retired anything.
+    pub(crate) measured: Vec<SimStats>,
 }
 
 impl<'p> Simulator<'p> {
@@ -73,9 +126,7 @@ impl<'p> Simulator<'p> {
     /// `fe-cfg` executor (what [`Self::with_memory`] does for you); a
     /// trace-driven run passes an `fe-trace` replayer over a stream
     /// previously recorded with the same `program` and `seed`, and
-    /// produces bit-identical statistics to the live run. Anything
-    /// else implements [`BlockSource`](fe_model::BlockSource) and rides
-    /// in boxed as [`SourceKind::Other`].
+    /// produces bit-identical statistics to the live run.
     ///
     /// `seed` still seeds the backend's load RNG (the data side is not
     /// part of the control-flow trace), so replay must pass the seed
@@ -92,14 +143,20 @@ impl<'p> Simulator<'p> {
         mem: MemorySystem,
         source: impl Into<SourceKind<'p>>,
     ) -> Self {
+        let mut state = PipelineState::new(program, cfg, scheme, mem, source.into());
+        // Incrementally maintained folded histories: bit-identical
+        // predictions, O(1) per history push.
+        state.tage.enable_fold_scratch();
         Simulator {
-            state: PipelineState::new(program, cfg, scheme, mem, source.into()),
+            state,
             bpu: Bpu,
             fetch: FetchUnit,
             backend: Backend::new(seed),
             base_cycle: 0,
             base_scheme_misses: 0,
             base_scheme_lookups: 0,
+            phase: Phase::Done,
+            measured: Vec::new(),
         }
     }
 
@@ -110,17 +167,86 @@ impl<'p> Simulator<'p> {
     /// run completes ends the run early with the statistics measured so
     /// far — check [`Self::source_exhausted`] — rather than panicking.
     pub fn run(&mut self, warmup: u64, measure: u64) -> SimStats {
-        while self.state.retired_total < warmup && !self.state.stream_ended() {
-            self.cycle();
+        self.start_full(warmup, measure);
+        self.advance(u64::MAX);
+        self.measured
+            .pop()
+            .expect("a finished full-detail run holds its measured window")
+    }
+
+    /// Arms a full-detail run: timed warmup until `warmup` instructions
+    /// have retired, then `measure` measured instructions.
+    pub(crate) fn start_full(&mut self, warmup: u64, measure: u64) {
+        self.measured.clear();
+        self.phase = Phase::Warmup {
+            until: warmup,
+            measure,
+        };
+    }
+
+    /// `true` once the armed run has finished (or none was armed).
+    pub(crate) fn done(&self) -> bool {
+        matches!(self.phase, Phase::Done)
+    }
+
+    /// The driver: advances the armed run until this simulator has
+    /// retired `target` instructions or the run finishes. Pass
+    /// `u64::MAX` to run to completion; the batch engine passes rising
+    /// per-round quotas.
+    pub(crate) fn advance(&mut self, target: u64) {
+        while self.state.retired_total < target {
+            match self.phase {
+                Phase::Done => return,
+                Phase::Warmup { until, measure } => {
+                    self.tick_until(until.min(target));
+                    if self.state.retired_total >= until || self.state.stream_ended() {
+                        self.begin_measurement();
+                        // Measure relative to the actual measurement
+                        // start (warmup may overshoot by a partial
+                        // retire-width).
+                        let end = self.state.retired_total + measure;
+                        self.phase = Phase::Measure { end };
+                    }
+                }
+                Phase::Measure { end } => {
+                    self.tick_until(end.min(target));
+                    if self.state.retired_total >= end || self.state.stream_ended() {
+                        let stats = self.finalize();
+                        self.measured.push(stats);
+                        self.finish();
+                    }
+                }
+                Phase::InitWarm { .. } | Phase::Seek { .. } => {
+                    self.init_warm_step(target - self.state.retired_total);
+                }
+                Phase::Intervals { end, spec } => {
+                    if self.state.retired_total >= end || self.state.stream_ended() {
+                        self.finish();
+                    } else {
+                        self.step_interval(end, spec);
+                    }
+                }
+            }
         }
-        self.begin_measurement();
-        // Measure relative to the actual measurement start (warmup may
-        // overshoot by a partial retire-width).
-        let end = self.state.retired_total + measure;
-        while self.state.retired_total < end && !self.state.stream_ended() {
-            self.cycle();
+    }
+
+    /// Ends the run: the retire-share log and the shared window stop
+    /// holding anything back for this simulator.
+    pub(crate) fn finish(&mut self) {
+        self.phase = Phase::Done;
+        if let Some(cur) = self.state.tage_share.as_mut() {
+            cur.release();
         }
-        self.finalize()
+        self.state.source.release();
+    }
+
+    /// Ticks until `retired_total` reaches `limit` or the stream ends.
+    pub(crate) fn tick_until(&mut self, limit: u64) {
+        while self.state.retired_total < limit && !self.state.stream_ended() {
+            if self.try_skip_quiet_span() == 0 {
+                self.cycle();
+            }
+        }
     }
 
     /// One simulated cycle: tick the stages front to back, then account
@@ -136,15 +262,6 @@ impl<'p> Simulator<'p> {
             stall::account(s, outcome);
         }
         s.now += 1;
-    }
-
-    /// Arms the batch-path accelerations on this cell: the TAGE fold
-    /// scratch (incrementally-maintained folded histories — bit-
-    /// identical predictions, O(1) per history push). The serial path
-    /// never calls this, staying the byte-for-byte reference the batch
-    /// engine is checked against.
-    pub(crate) fn enable_batch_accel(&mut self) {
-        self.state.tage.enable_fold_scratch();
     }
 
     /// Joins this cell to a batch retire-share group (see
@@ -166,15 +283,7 @@ impl<'p> Simulator<'p> {
         }
     }
 
-    /// Detaches this cell from its retire-share group so the log no
-    /// longer retains deltas for it.
-    pub(crate) fn release_tage_share(&mut self) {
-        if let Some(cur) = self.state.tage_share.as_mut() {
-            cur.release();
-        }
-    }
-
-    /// Batch-path fast-forward over a *quiescent span*: a stretch of
+    /// The driver's fast-forward over a *quiescent span*: a stretch of
     /// cycles in which every stage is provably inert and the only
     /// per-cycle effects are stall charges, reproduced in bulk.
     /// Dispatches on what the backend is starved of: an empty supply
@@ -226,7 +335,7 @@ impl<'p> Simulator<'p> {
                 return 0;
             }
             if s.inflight.contains(w) {
-                // The serial fetch unit re-merges the demand every
+                // The ticking fetch unit re-merges the demand every
                 // waiting cycle; merging is idempotent, so once covers
                 // the whole span.
                 s.inflight.merge_demand(w);
@@ -245,7 +354,7 @@ impl<'p> Simulator<'p> {
             return 0;
         }
         // The backend consults the oracle head every cycle of the span;
-        // if the source is about to run dry, the serial path discovers
+        // if the source is about to run dry, ticking discovers
         // that mid-span — so only skip with the head already in hand.
         if !s.fill_oracle_to(0) {
             return 0;
@@ -264,7 +373,7 @@ impl<'p> Simulator<'p> {
     /// the BPU; fetch at the supply cap or parked on an
     /// already-requested L1-I miss), the span's only per-cycle effect
     /// is the backend-stall charge. Batching that accounting into one
-    /// addition is what makes skipping pay: the serial path's per-cycle
+    /// addition is what makes skipping pay: ticking's per-cycle
     /// early returns are individually cheap, but ~12% of all cycles
     /// sit in these windows.
     fn try_skip_data_stall_span(&mut self) -> u64 {
@@ -291,7 +400,7 @@ impl<'p> Simulator<'p> {
         };
         // Fetch inert: at the supply cap it early-outs before touching
         // the FTQ or the miss machinery; otherwise it must be parked on
-        // a miss that is already outstanding (the serial unit re-merges
+        // a miss that is already outstanding (the ticking unit re-merges
         // the demand every waiting cycle — idempotent, so once covers
         // the whole span). Anything else could mutate state mid-span.
         if s.supply.instrs() < SUPPLY_CAP {
@@ -582,6 +691,128 @@ mod tests {
         let _ = s.run(20_000, 50_000);
         let counters = s.scheme_counters();
         assert!(counters.iter().any(|(name, _)| *name == "reactive_fills"));
+    }
+
+    /// Cycle-by-cycle ticking with no span skipping — the reference the
+    /// driver's quiet-span skip must reproduce.
+    fn tick_plainly(sim: &mut Simulator<'_>, limit: u64) {
+        while sim.state.retired_total < limit && !sim.state.stream_ended() {
+            sim.cycle();
+        }
+    }
+
+    /// A full-detail run as a plain `cycle()` loop.
+    fn ticked_run(sim: &mut Simulator<'_>, warmup: u64, measure: u64) -> SimStats {
+        tick_plainly(sim, warmup);
+        sim.begin_measurement();
+        let end = sim.state.retired_total + measure;
+        tick_plainly(sim, end);
+        sim.finalize()
+    }
+
+    /// A sampled run driven step by step through the functional paths,
+    /// with every timed window a plain `cycle()` loop.
+    fn ticked_sampled(
+        sim: &mut Simulator<'_>,
+        warmup: u64,
+        measure: u64,
+        spec: SamplingSpec,
+    ) -> Vec<SimStats> {
+        sim.warm_functional(warmup);
+        let end = sim.state.retired_total + measure;
+        let mut intervals = Vec::new();
+        while sim.state.retired_total < end && !sim.state.stream_ended() {
+            let budget = (end - sim.state.retired_total).min(spec.interval);
+            if budget < spec.detail {
+                sim.warm_functional(budget);
+                continue;
+            }
+            let fwarm = spec.warmup.min(budget - spec.detail);
+            sim.skip_functional(budget - spec.detail - fwarm);
+            sim.warm_functional(fwarm);
+            if sim.state.stream_ended() || !sim.begin_interval() {
+                break;
+            }
+            let ramp = (spec.detail / 16).min(crate::sampling::RAMP_CAP);
+            let ramp_end = sim.state.retired_total + ramp;
+            tick_plainly(sim, ramp_end);
+            sim.begin_measurement();
+            let measure_end = sim.state.retired_total + spec.detail - ramp;
+            tick_plainly(sim, measure_end);
+            let stats = sim.finalize();
+            if stats.instructions > 0 {
+                intervals.push(stats);
+            }
+        }
+        intervals
+    }
+
+    const ALL_SCHEMES: [fn() -> crate::SchemeSpec; 6] = [
+        || crate::SchemeSpec::NoPrefetch,
+        || crate::SchemeSpec::Fdip,
+        crate::SchemeSpec::boomerang,
+        || crate::SchemeSpec::Confluence,
+        || crate::SchemeSpec::Ideal,
+        crate::SchemeSpec::shotgun,
+    ];
+
+    #[test]
+    fn quiet_span_skipping_matches_cycle_by_cycle_ticking() {
+        let machine = MachineConfig::table3();
+        let mut skipped = 0;
+        for wl in [
+            fe_cfg::workloads::nutch(),
+            fe_cfg::workloads::oracle(),
+            fe_cfg::workloads::zeus(),
+        ] {
+            let program = wl.scaled(0.05).build();
+            for scheme in ALL_SCHEMES.map(|make| make()) {
+                let fresh = || Simulator::new(&program, machine.clone(), scheme.build(&machine), 9);
+                let driven = fresh().run(20_000, 60_000);
+                let ticked = ticked_run(&mut fresh(), 20_000, 60_000);
+                assert_eq!(
+                    driven,
+                    ticked,
+                    "quiet-span skipping diverged on ({}, {})",
+                    wl.name,
+                    scheme.label(),
+                );
+                // The comparison is only worth something if spans are
+                // actually skipped along the way.
+                let mut sim = fresh();
+                while sim.state.retired_total < 80_000 {
+                    match sim.try_skip_quiet_span() {
+                        0 => sim.cycle(),
+                        k => skipped += k,
+                    }
+                }
+            }
+        }
+        assert!(skipped > 0, "no quiet span was ever skipped");
+    }
+
+    #[test]
+    fn sampled_driver_matches_cycle_by_cycle_ticking() {
+        let machine = MachineConfig::table3();
+        let spec = SamplingSpec {
+            interval: 40_000,
+            detail: 8_000,
+            warmup: 10_000,
+        };
+        let program = fe_cfg::workloads::apache().scaled(0.05).build();
+        for scheme in ALL_SCHEMES.map(|make| make()) {
+            let fresh = || Simulator::new(&program, machine.clone(), scheme.build(&machine), 9);
+            let driven = fresh().run_sampled(30_000, 150_000, spec);
+            let ticked = ticked_sampled(&mut fresh(), 30_000, 150_000, spec);
+            assert!(!driven.truncated);
+            assert_eq!(driven.intervals.len(), 4);
+            assert_eq!(
+                driven.intervals,
+                ticked,
+                "sampled driver diverged on {}",
+                scheme.label()
+            );
+        }
     }
 
     #[test]

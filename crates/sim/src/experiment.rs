@@ -36,7 +36,7 @@
 //! ```
 
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use fe_cfg::{MixSpec, Program, WorkloadSpec};
@@ -45,26 +45,13 @@ use fe_model::{MachineConfig, SimStats};
 use fe_trace::{ProgramFingerprint, Trace};
 use shotgun::{RegionPolicy, ShotgunConfig};
 
+use crate::batch::BatchSimulator;
 use crate::cache::{CellKey, CellStore, CellValue};
 use crate::json::{parse, Json};
 use crate::multi::MultiSimulator;
-use crate::runner::{
-    run_scheme_replayed, run_scheme_sampled_replayed_snapshot, RunLength, SchemeSpec,
-};
-use crate::sampling::{CellSampling, MeanCi, SamplingSpec};
+use crate::runner::{RunLength, SchemeSpec};
+use crate::sampling::{CellSampling, MeanCi, SampledStats, SamplingSpec};
 use crate::snapshot::SnapshotStore;
-
-/// Process-wide count of sweep cells actually *simulated* (cache hits
-/// do not count; a consolidation mix counts one per member cell).
-/// Probe for tests asserting zero-recompute resume behavior;
-/// meaningful only when the probing test runs in its own process.
-static CELLS_EXECUTED: AtomicU64 = AtomicU64::new(0);
-
-/// Sweep cells simulated so far in this process (tests).
-#[doc(hidden)]
-pub fn cells_executed() -> u64 {
-    CELLS_EXECUTED.load(Ordering::Relaxed)
-}
 
 /// A sweep stopped by its cancel flag before every cell completed (see
 /// [`Experiment::cancel_flag`]). Cells finished before the stop were
@@ -136,9 +123,9 @@ pub struct ProgressEvent {
     /// Whether the cell was served from the configured [`CellStore`]
     /// instead of being simulated.
     pub cached: bool,
-    /// When the cell ran on the [batch engine](crate::batch), the id of
-    /// its batch group (cells sharing one decode pass share the id);
-    /// `None` for serial, cached, and mix cells. Additive: streaming
+    /// For a simulated single-workload cell, the id of its
+    /// [batch](crate::batch) group (cells sharing one decode pass share
+    /// the id); `None` for cached and mix cells. Additive: streaming
     /// clients that predate it see the field as simply absent.
     pub batch_id: Option<u64>,
 }
@@ -165,7 +152,6 @@ pub struct Experiment {
     cell_store: Option<Arc<dyn CellStore>>,
     snapshots: Option<Arc<SnapshotStore>>,
     cancel: Option<Arc<AtomicBool>>,
-    batch: bool,
 }
 
 impl Experiment {
@@ -191,7 +177,6 @@ impl Experiment {
             cell_store: None,
             snapshots: None,
             cancel: None,
-            batch: true,
         }
     }
 
@@ -327,16 +312,6 @@ impl Experiment {
         self
     }
 
-    /// Enables or disables the [batch engine](crate::batch) (default:
-    /// enabled). When enabled, a workload's uncached scheme cells run
-    /// as one shared-decode batch — statistics stay byte-identical
-    /// either way, so this knob exists for the perf harness's
-    /// batch-vs-serial comparison and as an escape hatch.
-    pub fn batch(mut self, enabled: bool) -> Self {
-        self.batch = enabled;
-        self
-    }
-
     /// Runs the sweep and derives per-cell metrics.
     ///
     /// Programs are built once per workload (and per mix member) and
@@ -376,7 +351,6 @@ impl Experiment {
             cell_store,
             snapshots,
             cancel,
-            batch,
         } = self;
         assert!(
             !(workloads.is_empty() && mixes.is_empty()),
@@ -567,7 +541,6 @@ impl Experiment {
             }
         };
         let store_cell = |cell_idx: usize, cell: &CellResult| {
-            CELLS_EXECUTED.fetch_add(1, Ordering::Relaxed);
             if let (Some(store), Some(key)) = (&cell_store, &keys[cell_idx]) {
                 store.put(
                     key,
@@ -593,7 +566,6 @@ impl Experiment {
                         .into_iter()
                         .map(|c| (c.stats, None))
                         .collect();
-                    CELLS_EXECUTED.fetch_add(stats.len() as u64, Ordering::Relaxed);
                     emit(&mixes[mi].name, si, false, None);
                     return stats;
                 }
@@ -611,89 +583,40 @@ impl Experiment {
                         None => uncached.push(si),
                     }
                 }
-                // Batch the uncached cells when sharing a decode pays
-                // (two or more) and nothing forces the serial path: a
-                // snapshot store under sampling restores per-cell warm
-                // state the shared cursor cannot represent.
-                let use_batch =
-                    batch && uncached.len() >= 2 && !(sampling.is_some() && snapshots.is_some());
-                let trace = |uncached: &[usize]| {
-                    if uncached.is_empty() {
-                        None
-                    } else {
-                        Some(
-                            traces[wi]
-                                .as_ref()
-                                .expect("trace recorded for every workload with uncached cells"),
-                        )
+                if !uncached.is_empty() {
+                    // Every uncached cell of the workload runs in one
+                    // shared-decode batch (a lone cell is a batch of
+                    // one).
+                    let trace = traces[wi]
+                        .as_ref()
+                        .expect("trace recorded for every workload with uncached cells");
+                    let mut batch = BatchSimulator::new(
+                        &programs[wi],
+                        machine.clone(),
+                        trace.replayer(),
+                        seed,
+                        sampling,
+                    );
+                    if let Some(store) = snapshots.as_deref() {
+                        batch = batch.with_snapshots(store, fingerprints[wi]);
                     }
-                };
-                if use_batch {
-                    let trace = trace(&uncached).expect("uncached cells imply a trace");
-                    let specs: Vec<SchemeSpec> =
-                        uncached.iter().map(|&si| schemes[si].clone()).collect();
-                    let batch_results: Vec<CellResult> = match sampling {
-                        Some(spec) => crate::batch::run_schemes_batch_sampled_replayed(
-                            &programs[wi],
-                            trace,
-                            &specs,
-                            &machine,
-                            len,
-                            spec,
-                            seed,
-                        )
-                        .into_iter()
-                        .map(|sampled| (sampled.aggregate(), Some(CellSampling::of(&sampled))))
-                        .collect(),
-                        None => crate::batch::run_schemes_batch_replayed(
-                            &programs[wi],
-                            trace,
-                            &specs,
-                            &machine,
-                            len,
-                            seed,
-                        )
-                        .into_iter()
-                        .map(|stats| (stats, None))
-                        .collect(),
-                    };
-                    for (&si, cell) in uncached.iter().zip(batch_results) {
-                        store_cell(mix_jobs + wi * n_schemes + si, &cell);
-                        cells[si] = Some(cell);
-                        emit(name, si, false, Some(job as u64));
-                    }
-                } else {
                     for &si in &uncached {
-                        let trace = trace(&uncached).expect("uncached cells imply a trace");
+                        batch.add_cell(&schemes[si], len);
+                    }
+                    for (&si, mut windows) in uncached.iter().zip(batch.run_windows()) {
                         let cell = match sampling {
-                            Some(spec) => {
-                                let sampled = run_scheme_sampled_replayed_snapshot(
-                                    &programs[wi],
-                                    trace,
-                                    &schemes[si],
-                                    &machine,
-                                    len,
-                                    spec,
-                                    seed,
-                                    snapshots.as_deref(),
-                                );
+                            Some(_) => {
+                                let sampled = SampledStats {
+                                    intervals: windows,
+                                    truncated: false,
+                                };
                                 (sampled.aggregate(), Some(CellSampling::of(&sampled)))
                             }
-                            None => {
-                                let stats = run_scheme_replayed(
-                                    &programs[wi],
-                                    trace,
-                                    &schemes[si],
-                                    &machine,
-                                    len,
-                                    seed,
-                                );
-                                (stats, None)
-                            }
+                            None => (windows.remove(0), None),
                         };
                         store_cell(mix_jobs + wi * n_schemes + si, &cell);
                         cells[si] = Some(cell);
-                        emit(name, si, false, None);
+                        emit(name, si, false, Some(job as u64));
                     }
                 }
                 cells

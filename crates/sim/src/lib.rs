@@ -20,6 +20,12 @@
 //! [`run_scheme_sampled`]/[`run_scheme_sampled_replayed`] wrappers
 //! remain for single measurements.
 //!
+//! Every run takes the same path: a sweep workload's uncached cells
+//! and each one-cell wrapper run as one [`BatchSimulator`] batch (a
+//! batch of one for a lone cell), whose cells advance through the one
+//! run driver on [`Simulator`] (see the [`engine`] module) with TAGE
+//! fold scratch and quiet-span skipping always on.
+//!
 //! ```no_run
 //! use fe_cfg::workloads;
 //! use fe_model::MachineConfig;
@@ -55,15 +61,15 @@ pub use batch::{
 pub use cache::{config_hash, CellKey, CellStore, CellValue, MemoryCellStore, ENGINE_VERSION};
 pub use engine::{EngineScheme, SchemeKind, Simulator};
 pub use experiment::{
-    cells_executed, scheme_from_json, scheme_to_json, CellMetrics, Experiment, Interrupted,
-    ProgressEvent, SweepCell, SweepReport, WorkloadId,
+    scheme_from_json, scheme_to_json, CellMetrics, Experiment, Interrupted, ProgressEvent,
+    SweepCell, SweepReport, WorkloadId,
 };
 pub use fe_trace::ProgramFingerprint;
 pub use multi::{derive_ctx_seed, ContextStats, MultiSimulator, MultiStats};
 pub use report::{render_table, Series};
 pub use runner::{
     run_scheme, run_scheme_replayed, run_scheme_sampled, run_scheme_sampled_replayed,
-    run_scheme_sampled_replayed_snapshot, run_scheme_store_replayed, RunLength, SchemeSpec,
+    run_scheme_store_replayed, RunLength, SchemeSpec,
 };
 pub use sampling::{CellSampling, MeanCi, SampledStats, SamplingSpec};
 pub use snapshot::{SnapshotKey, SnapshotStore, WarmSnapshot};

@@ -274,10 +274,10 @@ impl Backend {
         self.last_retired_kind = None;
     }
 
-    /// Bulk accounting for a quiescent span `[s.now, until)` the batch
-    /// engine fast-forwards over (see `Simulator::try_skip_quiet_span`):
+    /// Bulk accounting for a quiescent span `[s.now, until)` the run
+    /// driver fast-forwards over (see `Simulator::try_skip_quiet_span`):
     /// zero-retire cycles whose only per-cycle state change is the stall
-    /// charge itself. Reproduces the serial per-cycle classification
+    /// charge itself. Reproduces the per-cycle classification
     /// exactly: with `retired_total` frozen, a data miss's ROB-shadow
     /// age is frozen too, so the front miss blocks either until its
     /// fill (`Backend` cycles, charged to `backend_stall_cycles` as the

@@ -83,8 +83,7 @@ pub enum EngineScheme {
 }
 
 impl EngineScheme {
-    /// Wraps any scheme the engine knows statically — or a boxed
-    /// [`ControlFlowDelivery`] for everything else — into the `Real`
+    /// Wraps any scheme the engine knows statically into the `Real`
     /// variant.
     pub fn real(scheme: impl Into<SchemeKind>) -> EngineScheme {
         EngineScheme::Real(scheme.into())
@@ -95,9 +94,8 @@ impl EngineScheme {
 /// runs. The BPU queries the scheme several times per simulated cycle
 /// (`predict`, `on_demand_access`, `on_retire`, ...), so the known
 /// kinds are dispatched by `match` — monomorphized and inlinable —
-/// instead of through a vtable. [`ControlFlowDelivery`] remains the
-/// extension seam: anything not in this list rides in
-/// [`SchemeKind::Other`] with exactly the old dynamic dispatch.
+/// instead of through a vtable. A new scheme implements
+/// [`ControlFlowDelivery`] and joins this list.
 pub enum SchemeKind {
     /// Conventional front end, no prefetching (the baseline).
     NoPrefetch(Box<NoPrefetch>),
@@ -109,8 +107,6 @@ pub enum SchemeKind {
     Confluence(Box<Confluence>),
     /// Shotgun (the paper's design).
     Shotgun(Box<ShotgunPrefetcher>),
-    /// Any other [`ControlFlowDelivery`], dynamically dispatched.
-    Other(Box<dyn ControlFlowDelivery>),
 }
 
 macro_rules! dispatch {
@@ -121,7 +117,6 @@ macro_rules! dispatch {
             SchemeKind::Boomerang($scheme) => $body,
             SchemeKind::Confluence($scheme) => $body,
             SchemeKind::Shotgun($scheme) => $body,
-            SchemeKind::Other($scheme) => $body,
         }
     };
 }
@@ -214,12 +209,6 @@ impl From<Confluence> for SchemeKind {
 impl From<ShotgunPrefetcher> for SchemeKind {
     fn from(s: ShotgunPrefetcher) -> Self {
         SchemeKind::Shotgun(Box::new(s))
-    }
-}
-
-impl From<Box<dyn ControlFlowDelivery>> for SchemeKind {
-    fn from(s: Box<dyn ControlFlowDelivery>) -> Self {
-        SchemeKind::Other(s)
     }
 }
 

@@ -1,19 +1,19 @@
 //! Scheme specifications, run-length control, and the one-cell
-//! `run_scheme` / `run_scheme_replayed` conveniences the `Experiment`
-//! sweep API builds on.
+//! `run_scheme*` conveniences. Each wrapper is a batch of one through
+//! the same engine and run driver as an `Experiment` sweep cell.
 
-use fe_cfg::Program;
+use fe_cfg::{Executor, Program};
 use fe_model::{MachineConfig, SimStats};
 use fe_trace::{Trace, TraceStore};
-use fe_uarch::MemorySystem;
 use shotgun::{RegionPolicy, ShotgunConfig, ShotgunPrefetcher};
 
 use fe_baselines::{Boomerang, Confluence, ConfluenceConfig, Fdip, NoPrefetch};
 
-use crate::engine::{EngineScheme, Simulator};
+use crate::batch::BatchSimulator;
+use crate::engine::EngineScheme;
 use crate::pipeline::{BPU_BLOCKS_PER_CYCLE, FETCH_LINES_PER_CYCLE, SUPPLY_CAP};
 use crate::sampling::{SampledStats, SamplingSpec};
-use crate::snapshot::{SnapshotKey, SnapshotStore};
+use crate::source::SourceKind;
 
 /// A control-flow-delivery scheme to evaluate.
 #[derive(Clone, Debug, PartialEq)]
@@ -87,35 +87,6 @@ impl SchemeSpec {
                 label
             }
         }
-    }
-
-    /// Instantiates the scheme behind the dynamic-dispatch extension
-    /// seam ([`SchemeKind::Other`](crate::SchemeKind::Other)) instead
-    /// of its devirtualized enum variant. Semantically identical to
-    /// [`Self::build`] — this is the reference path the engine
-    /// regression tests pin the monomorphized tick loop against.
-    pub fn build_dyn(&self, machine: &MachineConfig) -> EngineScheme {
-        use fe_uarch::scheme::ControlFlowDelivery;
-        let ways = machine.front_end.btb_ways as usize;
-        let boxed: Box<dyn ControlFlowDelivery> = match self {
-            SchemeSpec::NoPrefetch => Box::new(NoPrefetch::new(
-                machine.front_end.btb_entries as usize,
-                ways,
-            )),
-            SchemeSpec::Fdip => Box::new(Fdip::new(machine.front_end.btb_entries as usize, ways)),
-            SchemeSpec::Boomerang { btb_entries } => Box::new(Boomerang::new(
-                *btb_entries as usize,
-                ways,
-                machine.front_end.btb_prefetch_buffer as usize,
-            )),
-            SchemeSpec::Confluence => Box::new(Confluence::new(ConfluenceConfig::default())),
-            SchemeSpec::Ideal => return EngineScheme::Ideal,
-            SchemeSpec::Shotgun(cfg) => Box::new(ShotgunPrefetcher::new(
-                *cfg,
-                machine.front_end.ras_entries as usize,
-            )),
-        };
-        EngineScheme::real(boxed)
     }
 
     /// Instantiates the scheme for a machine configuration.
@@ -232,6 +203,29 @@ impl RunLength {
     }
 }
 
+/// The one run behind every one-cell wrapper: `spec` over `source` as
+/// a batch of one. Returns the cell's measured windows — the one
+/// full-detail window, or every sampled interval.
+///
+/// # Panics
+///
+/// Panics if the source ran dry mid-run (the pipeline itself degrades
+/// a truncated source into a reported stall, but a cell measured over
+/// a partial stream would be silently wrong, so this re-checks loudly).
+fn run_cell<'p>(
+    program: &'p Program,
+    source: impl Into<SourceKind<'p>>,
+    spec: &SchemeSpec,
+    machine: &MachineConfig,
+    len: RunLength,
+    sampling: Option<SamplingSpec>,
+    seed: u64,
+) -> Vec<SimStats> {
+    let mut batch = BatchSimulator::new(program, machine.clone(), source, seed, sampling);
+    batch.add_cell(spec, len);
+    batch.run_windows().remove(0)
+}
+
 /// Runs one scheme over one program — the one-cell convenience wrapper
 /// around the simulator. Multi-cell sweeps should use
 /// [`Experiment`](crate::Experiment), which parallelizes and derives
@@ -243,9 +237,16 @@ pub fn run_scheme(
     len: RunLength,
     seed: u64,
 ) -> SimStats {
-    let scheme = spec.build(machine);
-    let mut sim = Simulator::new(program, machine.clone(), scheme, seed);
-    sim.run(len.warmup, len.measure)
+    run_cell(
+        program,
+        Executor::new(program, seed),
+        spec,
+        machine,
+        len,
+        None,
+        seed,
+    )
+    .remove(0)
 }
 
 /// Runs one scheme over one program with the retired stream replayed
@@ -258,10 +259,7 @@ pub fn run_scheme(
 ///
 /// Panics if `trace` was not recorded against `program` with `seed`
 /// (replaying a mismatched stream would silently produce wrong
-/// timing), or if the trace ran dry before the run completed (the
-/// pipeline itself degrades a truncated source into a reported stall,
-/// but a sweep cell measured over a partial stream would be silently
-/// wrong, so this wrapper re-checks loudly).
+/// timing), or if the trace ran dry before the run completed.
 pub fn run_scheme_replayed(
     program: &Program,
     trace: &Trace,
@@ -271,31 +269,13 @@ pub fn run_scheme_replayed(
     seed: u64,
 ) -> SimStats {
     assert_trace_matches(trace, program, seed);
-    let scheme = spec.build(machine);
-    let mem = MemorySystem::new(machine);
-    let mut sim = Simulator::with_source(
-        program,
-        machine.clone(),
-        scheme,
-        seed,
-        mem,
-        trace.replayer(),
-    );
-    let stats = sim.run(len.warmup, len.measure);
-    assert!(
-        !sim.source_exhausted(),
-        "trace `{}` ran dry mid-run — record at least RunLength::trace_instrs instructions",
-        trace.header().name,
-    );
-    stats
+    run_cell(program, trace.replayer(), spec, machine, len, None, seed).remove(0)
 }
 
 /// [`run_scheme_replayed`], but replaying from a chunk-compressed v2
 /// [`TraceStore`] instead of a flat trace. Statistics are bit-identical
 /// to both [`run_scheme`] and [`run_scheme_replayed`] over the same
-/// recording — the store reproduces the identical retired stream — and
-/// warmup fast-forwarding seeks through the chunk index instead of
-/// decoding every record.
+/// recording — the store reproduces the identical retired stream.
 ///
 /// # Panics
 ///
@@ -310,23 +290,7 @@ pub fn run_scheme_store_replayed(
     seed: u64,
 ) -> SimStats {
     assert_store_matches(store, program, seed);
-    let scheme = spec.build(machine);
-    let mem = MemorySystem::new(machine);
-    let mut sim = Simulator::with_source(
-        program,
-        machine.clone(),
-        scheme,
-        seed,
-        mem,
-        store.replayer(),
-    );
-    let stats = sim.run(len.warmup, len.measure);
-    assert!(
-        !sim.source_exhausted(),
-        "trace store `{}` ran dry mid-run — record at least RunLength::trace_instrs instructions",
-        store.header().name,
-    );
-    stats
+    run_cell(program, store.replayer(), spec, machine, len, None, seed).remove(0)
 }
 
 pub(crate) fn assert_trace_matches(trace: &Trace, program: &Program, seed: u64) {
@@ -361,6 +325,11 @@ pub(crate) fn assert_store_matches(store: &TraceStore, program: &Program, seed: 
 /// [`SamplingSpec`] and the `sampling` module docs): `len.warmup`
 /// instructions functionally warmed, `len.measure` covered by
 /// alternating fast-forward / functional warming / timed measurement.
+///
+/// # Panics
+///
+/// Panics if `sampling` fails [`SamplingSpec::validate`] or
+/// `len.measure` cannot fit one detail window.
 pub fn run_scheme_sampled(
     program: &Program,
     spec: &SchemeSpec,
@@ -369,9 +338,12 @@ pub fn run_scheme_sampled(
     sampling: SamplingSpec,
     seed: u64,
 ) -> SampledStats {
-    let scheme = spec.build(machine);
-    let mut sim = Simulator::new(program, machine.clone(), scheme, seed);
-    sim.run_sampled(len.warmup, len.measure, sampling)
+    let source = Executor::new(program, seed);
+    let intervals = run_cell(program, source, spec, machine, len, Some(sampling), seed);
+    SampledStats {
+        intervals,
+        truncated: false,
+    }
 }
 
 /// [`run_scheme_sampled`] over a recorded trace: the fast-forward
@@ -392,81 +364,19 @@ pub fn run_scheme_sampled_replayed(
     seed: u64,
 ) -> SampledStats {
     assert_trace_matches(trace, program, seed);
-    let scheme = spec.build(machine);
-    let mem = MemorySystem::new(machine);
-    let mut sim = Simulator::with_source(
+    let intervals = run_cell(
         program,
-        machine.clone(),
-        scheme,
-        seed,
-        mem,
         trace.replayer(),
-    );
-    let stats = sim.run_sampled(len.warmup, len.measure, sampling);
-    assert!(
-        !stats.truncated,
-        "trace `{}` ran dry mid-sampled-run — record at least RunLength::trace_instrs instructions",
-        trace.header().name,
-    );
-    stats
-}
-
-/// [`run_scheme_sampled_replayed`] with warmed-state snapshots (see
-/// the [`snapshot`](crate::snapshot) module): on a store hit the
-/// initial functional warm of `len.warmup` instructions is replaced by
-/// a decode-skip plus a restore of the captured structures, which is
-/// bit-identical and many times faster; on a miss the run warms
-/// functionally and captures the state for next time. With
-/// `snapshots: None` this is exactly [`run_scheme_sampled_replayed`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_scheme_sampled_replayed_snapshot(
-    program: &Program,
-    trace: &Trace,
-    spec: &SchemeSpec,
-    machine: &MachineConfig,
-    len: RunLength,
-    sampling: SamplingSpec,
-    seed: u64,
-    snapshots: Option<&SnapshotStore>,
-) -> SampledStats {
-    assert_trace_matches(trace, program, seed);
-    let scheme = spec.build(machine);
-    let mem = MemorySystem::new(machine);
-    let mut sim = Simulator::with_source(
-        program,
-        machine.clone(),
-        scheme,
+        spec,
+        machine,
+        len,
+        Some(sampling),
         seed,
-        mem,
-        trace.replayer(),
     );
-    let key = snapshots
-        .map(|_| SnapshotKey::for_run(trace.header().fingerprint, machine, spec, seed, len.warmup));
-    let snap = match (snapshots, key) {
-        (Some(store), Some(k)) => store.get(&k),
-        _ => None,
-    };
-    let stats = match snap {
-        Some(snap) => {
-            sim.restore_warm(&snap);
-            sim.run_sampled_measure(len.measure, sampling)
-        }
-        None => {
-            sim.warm_functional(len.warmup);
-            if let (Some(store), Some(key)) = (snapshots, key) {
-                if let Some(snap) = sim.capture_warm() {
-                    store.put(key, snap);
-                }
-            }
-            sim.run_sampled_measure(len.measure, sampling)
-        }
-    };
-    assert!(
-        !stats.truncated,
-        "trace `{}` ran dry mid-sampled-run — record at least RunLength::trace_instrs instructions",
-        trace.header().name,
-    );
-    stats
+    SampledStats {
+        intervals,
+        truncated: false,
+    }
 }
 
 #[cfg(test)]

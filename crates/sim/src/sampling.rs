@@ -41,14 +41,19 @@
 //! **5%**, at the default spec's 10% timed fraction — the bounds the
 //! `fe-bench` `sampling` binary checks (the CI term covers bursty
 //! workloads whose per-interval variance dominates at few intervals;
-//! it shrinks as `1/sqrt(intervals)`). Full (non-sampled) runs do not
-//! go through this module and stay bit-identical to the pinned engine.
+//! it shrinks as `1/sqrt(intervals)`).
+//!
+//! Sampled and full-detail runs advance through the same driver (the
+//! `Phase` machine in the `engine` module); this module supplies the
+//! sampled steps — the initial warm, each interval, and the functional
+//! paths under them. Full-detail runs never take those steps, so they
+//! stay bit-identical to the pinned engine.
 
 use fe_model::{BlockSource, BranchKind, RetiredBlock, SimStats, INSTR_BYTES};
 use fe_uarch::scheme::ControlFlowDelivery;
 use fe_uarch::RasEntry;
 
-use crate::engine::{EngineScheme, Simulator};
+use crate::engine::{EngineScheme, Phase, Simulator, SnapshotSlot};
 
 /// Cap on the unmeasured timed ramp that refills the pipeline before
 /// each measured window (the window's first instructions otherwise
@@ -258,17 +263,31 @@ impl<'p> Simulator<'p> {
     /// silently measured zero intervals would report all-zero
     /// statistics.
     pub fn run_sampled(&mut self, warmup: u64, measure: u64, spec: SamplingSpec) -> SampledStats {
-        self.warm_functional(warmup);
-        self.run_sampled_measure(measure, spec)
+        self.start_sampled(warmup, measure, spec, None);
+        self.advance(u64::MAX);
+        SampledStats {
+            intervals: std::mem::take(&mut self.measured),
+            truncated: self.state.source_dry,
+        }
     }
 
-    /// The measured half of [`Self::run_sampled`]: assumes the initial
-    /// warmup already happened (functionally, or restored from a
-    /// [`WarmSnapshot`](crate::snapshot::WarmSnapshot)) and covers
-    /// `measure` instructions in `spec`-shaped intervals.
-    pub(crate) fn run_sampled_measure(&mut self, measure: u64, spec: SamplingSpec) -> SampledStats {
+    /// Arms a sampled run (see [`Self::run_sampled`]). With a snapshot
+    /// slot, a stored warmed state is installed right away and the
+    /// initial warm becomes a seek past the warmed prefix; on a miss the
+    /// warmed state is captured and stored once the warm completes.
+    ///
+    /// # Panics
+    ///
+    /// Same conditions as [`Self::run_sampled`].
+    pub(crate) fn start_sampled(
+        &mut self,
+        warmup: u64,
+        measure: u64,
+        spec: SamplingSpec,
+        snapshot: SnapshotSlot<'p>,
+    ) {
         if let Err(e) = spec.validate() {
-            // audit-allow(no-unchecked-panic): internal entry point — the public constructors already validated the spec, so reaching here means a crate bug
+            // audit-allow(no-unchecked-panic): run-entry contract — an invalid sampling spec is a caller bug, not a runtime condition; Experiment::try_run is the typed path
             panic!("invalid sampling spec: {e}");
         }
         assert!(
@@ -277,46 +296,107 @@ impl<'p> Simulator<'p> {
              {}-instruction detail window (shrink the spec or run full detail)",
             spec.detail,
         );
-        let mut intervals = Vec::new();
-        let end = self.state.retired_total.saturating_add(measure);
-        while self.state.retired_total < end && !self.state.stream_ended() {
-            let budget = (end - self.state.retired_total).min(spec.interval);
-            if budget < spec.detail {
-                // Tail shorter than a detail window: cover it
-                // functionally. A sub-length measured window would
-                // enter the per-interval statistics at full weight and
-                // skew the mean and confidence interval.
-                self.warm_functional(budget);
-                continue;
+        self.measured.clear();
+        self.phase = match snapshot.and_then(|(store, key)| store.get(&key)) {
+            Some(snap) => Phase::Seek {
+                remaining: self.restore_warm(&snap),
+                measure,
+                spec,
+            },
+            None => Phase::InitWarm {
+                remaining: warmup,
+                measure,
+                spec,
+                snapshot,
+            },
+        };
+    }
+
+    /// One step of the initial warm: warms (after a restore: seeks
+    /// past) up to `chunk` more instructions and returns `true`; once
+    /// the warm is complete, stores the warmed snapshot when the run
+    /// has a slot, enters the interval loop and returns `false`.
+    ///
+    /// Each chunk stops at the first block boundary at or past its
+    /// sub-target, so the last one stops at the first boundary at or
+    /// past the whole warmup — exactly where one unchunked warm would.
+    /// A short chunk only happens when the source ran dry, which makes
+    /// `stream_ended()` true on the next step.
+    pub(crate) fn init_warm_step(&mut self, chunk: u64) -> bool {
+        let (remaining, measure, spec) = match self.phase {
+            Phase::InitWarm {
+                remaining,
+                measure,
+                spec,
+                ..
             }
-            let detail = spec.detail;
-            let fwarm = spec.warmup.min(budget - detail);
-            let skip = budget - detail - fwarm;
-            self.skip_functional(skip);
-            self.warm_functional(fwarm);
-            if self.state.stream_ended() || !self.begin_interval() {
-                break;
-            }
-            // Unmeasured ramp: refill the FTQ/supply so the measured
-            // window does not charge artificial cold-pipeline stalls.
-            let ramp = (detail / 16).min(RAMP_CAP);
-            let ramp_end = self.state.retired_total + ramp;
-            while self.state.retired_total < ramp_end && !self.state.stream_ended() {
-                self.cycle();
-            }
-            self.begin_measurement();
-            let measure_end = self.state.retired_total + (detail - ramp);
-            while self.state.retired_total < measure_end && !self.state.stream_ended() {
-                self.cycle();
-            }
-            let stats = self.finalize();
-            if stats.instructions > 0 {
-                intervals.push(stats);
+            | Phase::Seek {
+                remaining,
+                measure,
+                spec,
+            } => (remaining, measure, spec),
+            _ => return false,
+        };
+        if remaining > 0 && !self.state.stream_ended() {
+            let chunk = remaining.min(chunk);
+            let covered = match self.phase {
+                Phase::Seek { .. } => self.skip_functional(chunk),
+                _ => self.warm_functional(chunk),
+            };
+            self.consume_warm(covered);
+            return true;
+        }
+        if let Phase::InitWarm {
+            snapshot: Some((store, key)),
+            ..
+        } = self.phase
+        {
+            if let Some(snap) = self.capture_warm() {
+                store.put(key, snap);
             }
         }
-        SampledStats {
-            intervals,
-            truncated: self.state.source_dry,
+        let end = self.state.retired_total.saturating_add(measure);
+        self.phase = Phase::Intervals { end, spec };
+        false
+    }
+
+    /// Counts `covered` instructions off the initial warm's remainder.
+    pub(crate) fn consume_warm(&mut self, covered: u64) {
+        if let Phase::InitWarm { remaining, .. } | Phase::Seek { remaining, .. } = &mut self.phase {
+            *remaining = remaining.saturating_sub(covered);
+        }
+    }
+
+    /// One interval of the sampled loop: a functional tail warm, or
+    /// fast-forward + functional warm + timed detail window.
+    pub(crate) fn step_interval(&mut self, end: u64, spec: SamplingSpec) {
+        let budget = (end - self.state.retired_total).min(spec.interval);
+        if budget < spec.detail {
+            // Tail shorter than a detail window: cover it functionally.
+            // A sub-length measured window would enter the per-interval
+            // statistics at full weight and skew the mean and
+            // confidence interval.
+            self.warm_functional(budget);
+            return;
+        }
+        let detail = spec.detail;
+        let fwarm = spec.warmup.min(budget - detail);
+        let skip = budget - detail - fwarm;
+        self.skip_functional(skip);
+        self.warm_functional(fwarm);
+        if self.state.stream_ended() || !self.begin_interval() {
+            self.finish();
+            return;
+        }
+        // Unmeasured ramp: refill the FTQ/supply so the measured window
+        // does not charge artificial cold-pipeline stalls.
+        let ramp = (detail / 16).min(RAMP_CAP);
+        self.tick_until(self.state.retired_total + ramp);
+        self.begin_measurement();
+        self.tick_until(self.state.retired_total + (detail - ramp));
+        let stats = self.finalize();
+        if stats.instructions > 0 {
+            self.measured.push(stats);
         }
     }
 
@@ -335,10 +415,9 @@ impl<'p> Simulator<'p> {
     /// pass, where one leader walks the warm window and the other
     /// cells' schemes ride along instead of re-walking it themselves.
     /// The context the riders see is the leader's post-`warm_one`
-    /// state, exactly what each rider's own serial warm would show at
-    /// the same block (the warmed structures are identical across
-    /// same-config cells). With no riders this is the serial warm path,
-    /// unchanged.
+    /// state, exactly what each rider's own warm would show at the same
+    /// block (the warmed structures are identical across same-config
+    /// cells). With no riders this is the plain warm path.
     pub(crate) fn warm_functional_with(&mut self, instrs: u64, riders: &mut [EngineScheme]) -> u64 {
         let mut warmed = 0u64;
         while warmed < instrs {

@@ -23,10 +23,10 @@
 //! through the timed pipeline, which is the measurement, not a
 //! warm-up).
 //!
-//! Schemes ride along as clones of their concrete state; the
-//! dynamic-dispatch extension seam
-//! ([`SchemeKind::Other`](crate::SchemeKind)) is not cloneable, so
-//! such cells simply never snapshot (and never lose correctness).
+//! The run driver's initial-warm step does the work: a sampled cell
+//! given a store restores on a hit (then only seeks past the warmed
+//! prefix) and captures and stores its state after warming on a miss.
+//! Schemes ride along as clones of their concrete state.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -81,9 +81,8 @@ impl SnapshotKey {
     }
 }
 
-/// Clone of a scheme's concrete warmed state. The enum-dispatch kinds
-/// are all plain owned data; the boxed dynamic extension seam is not
-/// cloneable and therefore not snapshottable.
+/// Clone of a scheme's concrete warmed state (every scheme kind is
+/// plain owned data).
 #[derive(Clone)]
 enum WarmScheme {
     NoPrefetch(NoPrefetch),
@@ -95,8 +94,8 @@ enum WarmScheme {
 }
 
 impl WarmScheme {
-    fn capture(scheme: &EngineScheme) -> Option<WarmScheme> {
-        Some(match scheme {
+    fn capture(scheme: &EngineScheme) -> WarmScheme {
+        match scheme {
             EngineScheme::Ideal => WarmScheme::Ideal,
             EngineScheme::Real(kind) => match kind {
                 SchemeKind::NoPrefetch(s) => WarmScheme::NoPrefetch((**s).clone()),
@@ -104,9 +103,8 @@ impl WarmScheme {
                 SchemeKind::Boomerang(s) => WarmScheme::Boomerang((**s).clone()),
                 SchemeKind::Confluence(s) => WarmScheme::Confluence((**s).clone()),
                 SchemeKind::Shotgun(s) => WarmScheme::Shotgun((**s).clone()),
-                SchemeKind::Other(_) => return None,
             },
-        })
+        }
     }
 
     fn install(&self) -> EngineScheme {
@@ -171,29 +169,26 @@ impl<'p> Simulator<'p> {
 
     /// Captures the current warmed state. Call immediately after the
     /// initial functional warm of a sampled run, before any interval.
-    /// `None` when the scheme or the memory system is not
-    /// snapshottable (dynamic-dispatch scheme, shared memory group).
+    /// `None` when the memory system is not snapshottable (shared
+    /// memory group).
     pub(crate) fn capture_warm(&self) -> Option<WarmSnapshot> {
         Some(WarmSnapshot {
-            scheme: WarmScheme::capture(&self.state.scheme)?,
+            scheme: WarmScheme::capture(&self.state.scheme),
             structures: self.capture_warm_structures()?,
             warmed: self.state.retired_total,
         })
     }
 
     /// Restores a warmed state into a *fresh* simulator built over the
-    /// same (program, trace, seed, machine, scheme): seeks the source
-    /// past the warmed prefix (cheap decode-skip on a replayer) and
-    /// installs deep copies of the warmed structures. The subsequent
-    /// measured intervals are bit-identical to warming functionally.
-    pub(crate) fn restore_warm(&mut self, snap: &WarmSnapshot) {
-        let skipped = self.skip_functional(snap.warmed);
-        debug_assert_eq!(
-            skipped, snap.warmed,
-            "snapshot warmed past the source's end — mismatched snapshot?"
-        );
+    /// same (program, trace, seed, machine, scheme): installs deep
+    /// copies of the warmed structures and returns the instructions
+    /// the caller must still fast-forward the source past (a cheap
+    /// decode-skip on a replayer). The subsequent measured intervals
+    /// are bit-identical to warming functionally.
+    pub(crate) fn restore_warm(&mut self, snap: &WarmSnapshot) -> u64 {
         self.install_warm_structures(&snap.structures);
         self.state.scheme = snap.scheme.install();
+        snap.warmed
     }
 }
 
@@ -313,11 +308,10 @@ impl Default for SnapshotStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{
-        run_scheme_sampled_replayed, run_scheme_sampled_replayed_snapshot, RunLength,
-    };
-    use crate::sampling::SamplingSpec;
-    use fe_cfg::workloads;
+    use crate::batch::BatchSimulator;
+    use crate::runner::{run_scheme_sampled_replayed, RunLength};
+    use crate::sampling::{SampledStats, SamplingSpec};
+    use fe_cfg::{workloads, Program};
     use fe_trace::Trace;
 
     const LEN: RunLength = RunLength {
@@ -329,6 +323,23 @@ mod tests {
         detail: 20_000,
         warmup: 20_000,
     };
+
+    /// One batch of sampled cells with a snapshot store — the path every
+    /// sweep workload takes under `Experiment::snapshots`.
+    fn run_with_store(
+        program: &Program,
+        trace: &Trace,
+        schemes: &[SchemeSpec],
+        store: &SnapshotStore,
+    ) -> Vec<SampledStats> {
+        let machine = MachineConfig::table3();
+        let mut batch = BatchSimulator::new(program, machine, trace.replayer(), 7, Some(SPEC))
+            .with_snapshots(store, trace.header().fingerprint);
+        for scheme in schemes {
+            batch.add_cell(scheme, LEN);
+        }
+        batch.run_sampled()
+    }
 
     #[test]
     fn snapshot_runs_are_bit_identical_to_functional_warming() {
@@ -345,31 +356,44 @@ mod tests {
         ] {
             let plain =
                 run_scheme_sampled_replayed(&program, &trace, &scheme, &machine, LEN, SPEC, 7);
-            let cold = run_scheme_sampled_replayed_snapshot(
-                &program,
-                &trace,
-                &scheme,
-                &machine,
-                LEN,
-                SPEC,
-                7,
-                Some(&store),
-            );
-            let warm = run_scheme_sampled_replayed_snapshot(
-                &program,
-                &trace,
-                &scheme,
-                &machine,
-                LEN,
-                SPEC,
-                7,
-                Some(&store),
-            );
-            assert_eq!(plain, cold, "first snapshot run ({})", scheme.label());
-            assert_eq!(plain, warm, "restored snapshot run ({})", scheme.label());
+            let cold = run_with_store(&program, &trace, std::slice::from_ref(&scheme), &store);
+            let warm = run_with_store(&program, &trace, std::slice::from_ref(&scheme), &store);
+            let plain = std::slice::from_ref(&plain);
+            assert_eq!(cold, plain, "first snapshot run ({})", scheme.label());
+            assert_eq!(warm, plain, "restored snapshot run ({})", scheme.label());
         }
         assert_eq!(store.len(), 5);
         assert_eq!(store.hits(), 5, "second run of each scheme restores");
+    }
+
+    #[test]
+    fn batched_cells_restore_and_capture_bit_identically() {
+        let program = workloads::zeus().scaled(0.05).build();
+        let machine = MachineConfig::table3();
+        let trace = Trace::record(&program, 7, LEN.trace_instrs(&machine));
+        let schemes = [
+            SchemeSpec::NoPrefetch,
+            SchemeSpec::boomerang(),
+            SchemeSpec::shotgun(),
+            SchemeSpec::Ideal,
+        ];
+        let plain: Vec<SampledStats> = schemes
+            .iter()
+            .map(|s| run_scheme_sampled_replayed(&program, &trace, s, &machine, LEN, SPEC, 7))
+            .collect();
+        let store = SnapshotStore::new();
+        // Two cells warm together and capture; then the whole set runs
+        // with those two restoring next to cells still warming (and
+        // capturing); then every cell restores.
+        assert_eq!(
+            run_with_store(&program, &trace, &schemes[..2], &store),
+            plain[..2]
+        );
+        assert_eq!(store.len(), 2);
+        assert_eq!(run_with_store(&program, &trace, &schemes, &store), plain);
+        assert_eq!((store.hits(), store.len()), (2, 4));
+        assert_eq!(run_with_store(&program, &trace, &schemes, &store), plain);
+        assert_eq!(store.hits(), 6);
     }
 
     #[test]
@@ -392,17 +416,8 @@ mod tests {
         let machine = MachineConfig::table3();
         let trace = Trace::record(&program, 7, LEN.trace_instrs(&machine));
         let store = SnapshotStore::with_capacity(1);
-        for seed_scheme in [SchemeSpec::NoPrefetch, SchemeSpec::Fdip] {
-            run_scheme_sampled_replayed_snapshot(
-                &program,
-                &trace,
-                &seed_scheme,
-                &machine,
-                LEN,
-                SPEC,
-                7,
-                Some(&store),
-            );
+        for scheme in [SchemeSpec::NoPrefetch, SchemeSpec::Fdip] {
+            run_with_store(&program, &trace, &[scheme], &store);
         }
         assert_eq!(store.len(), 1, "older snapshot evicted");
     }
@@ -414,16 +429,7 @@ mod tests {
         let trace = Trace::record(&program, 7, LEN.trace_instrs(&machine));
         let store = SnapshotStore::with_capacity(2);
         let run = |scheme: &SchemeSpec| {
-            run_scheme_sampled_replayed_snapshot(
-                &program,
-                &trace,
-                scheme,
-                &machine,
-                LEN,
-                SPEC,
-                7,
-                Some(&store),
-            );
+            run_with_store(&program, &trace, std::slice::from_ref(scheme), &store);
         };
         // Fill: NoPrefetch is now the oldest insertion, Fdip the newest.
         run(&SchemeSpec::NoPrefetch);

@@ -1,12 +1,10 @@
-//! Enum dispatch over the known retired-stream producers.
+//! Enum dispatch over the retired-stream producers.
 //!
-//! [`BlockSource`] stays the extension seam — anything can feed the
-//! pipeline through [`SourceKind::Other`] — but the sources every sweep
-//! actually uses are known at compile time, and `next_block` sits on
-//! the hot path (once per retired basic block, tens of millions of
-//! times per cell). Dispatching over this enum instead of a
-//! `Box<dyn BlockSource>` lets the compiler inline the executor walk
-//! and the trace decoder straight into the tick loop.
+//! Every source the simulator reads is known at compile time, and
+//! `next_block` sits on the hot path (once per retired basic block,
+//! tens of millions of times per cell). Dispatching over this enum
+//! instead of a `Box<dyn BlockSource>` lets the compiler inline the
+//! executor walk and the trace decoder straight into the tick loop.
 
 use fe_cfg::Executor;
 use fe_model::{BlockSource, RetiredBlock};
@@ -30,9 +28,6 @@ pub enum SourceKind<'p> {
     /// [`SourceKind::Replay`] over the same recording, but `skip_instrs`
     /// seeks via the chunk index, decoding only the chunk it lands in.
     Store(StoreReplayer<'p>),
-    /// The extension seam: any other [`BlockSource`], dynamically
-    /// dispatched exactly as the whole pipeline used to be.
-    Other(Box<dyn BlockSource + 'p>),
 }
 
 impl BlockSource for SourceKind<'_> {
@@ -43,7 +38,6 @@ impl BlockSource for SourceKind<'_> {
             SourceKind::Replay(replay) => replay.next_block(),
             SourceKind::Shared(cursor) => cursor.next_block(),
             SourceKind::Store(replay) => replay.next_block(),
-            SourceKind::Other(source) => source.next_block(),
         }
     }
 
@@ -54,7 +48,6 @@ impl BlockSource for SourceKind<'_> {
             SourceKind::Replay(replay) => replay.skip_instrs(min_instrs),
             SourceKind::Shared(cursor) => cursor.skip_instrs(min_instrs),
             SourceKind::Store(replay) => replay.skip_instrs(min_instrs),
-            SourceKind::Other(source) => source.skip_instrs(min_instrs),
         }
     }
 }
@@ -84,6 +77,14 @@ impl SourceKind<'_> {
         }
         taken
     }
+
+    /// The reader is finished with the stream: a shared cursor stops
+    /// holding its window back; every other kind has nothing to free.
+    pub(crate) fn release(&mut self) {
+        if let SourceKind::Shared(cursor) = self {
+            cursor.release();
+        }
+    }
 }
 
 impl<'p> From<Executor<'p>> for SourceKind<'p> {
@@ -95,12 +96,6 @@ impl<'p> From<Executor<'p>> for SourceKind<'p> {
 impl<'p> From<TraceReplayer<'p>> for SourceKind<'p> {
     fn from(replay: TraceReplayer<'p>) -> Self {
         SourceKind::Replay(replay)
-    }
-}
-
-impl<'p> From<Box<dyn BlockSource + 'p>> for SourceKind<'p> {
-    fn from(source: Box<dyn BlockSource + 'p>) -> Self {
-        SourceKind::Other(source)
     }
 }
 
@@ -119,6 +114,7 @@ impl<'p> From<StoreReplayer<'p>> for SourceKind<'p> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::SharedWindow;
     use fe_cfg::workloads;
     use fe_trace::{Trace, TraceStore};
 
@@ -126,17 +122,23 @@ mod tests {
     fn every_kind_yields_the_same_stream() {
         let program = workloads::nutch().scaled(0.05).build();
         let trace = Trace::record(&program, 7, 2_000);
+        let store = TraceStore::from_trace_with(&trace, "source test", 128);
+        let window = SharedWindow::new(trace.replayer());
         let mut live = SourceKind::from(Executor::new(&program, 7));
-        let mut replay = SourceKind::from(trace.replayer());
-        let boxed: Box<dyn BlockSource> = Box::new(trace.replayer());
-        let mut other = SourceKind::from(boxed);
+        let mut others = [
+            SourceKind::from(trace.replayer()),
+            SourceKind::from(store.replayer()),
+            SourceKind::from(window.cursor()),
+        ];
         assert!(matches!(live, SourceKind::Live(_)));
-        assert!(matches!(replay, SourceKind::Replay(_)));
-        assert!(matches!(other, SourceKind::Other(_)));
+        assert!(matches!(others[0], SourceKind::Replay(_)));
+        assert!(matches!(others[1], SourceKind::Store(_)));
+        assert!(matches!(others[2], SourceKind::Shared(_)));
         for _ in 0..trace.header().block_count {
             let expected = live.next_block();
-            assert_eq!(replay.next_block(), expected);
-            assert_eq!(other.next_block(), expected);
+            for other in &mut others {
+                assert_eq!(other.next_block(), expected);
+            }
         }
     }
 

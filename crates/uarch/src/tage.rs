@@ -355,8 +355,8 @@ impl Tage {
     /// (see the private `FoldState`): O(1) per history push instead of O(len/w)
     /// folds per table per lookup. Predictions and state remain
     /// bit-identical — the registers are a cached form of the same
-    /// folds. The batch sweep engine enables this per cell; the serial
-    /// path stays on the classic folds as the reference.
+    /// folds. Every `fe-sim` simulator enables this at construction;
+    /// the classic folds stay as the reference the tests check against.
     pub fn enable_fold_scratch(&mut self) {
         let widths = [
             self.cfg.tagged_bits,

@@ -1,15 +1,16 @@
-//! Batch-engine equivalence: the shared-decode batch path must be
-//! *byte-identical* to the serial path at the report level — same
-//! `SweepReport` JSON, cell for cell — across workloads, scheme sets,
-//! seeds, and run shapes. The serial path is the reference (it runs
-//! none of the batch accelerations), so these tests are what licenses
-//! `Experiment`'s batch-by-default routing.
+//! Batch-engine equivalence: in a multi-scheme sweep the cells of a
+//! workload share one decode pass, one initial functional warm and the
+//! TAGE retire-share, yet every cell must carry exactly the statistics
+//! of the same cell run alone through a one-cell wrapper — across
+//! workloads, scheme sets, seeds and run shapes. Identical statistics
+//! derive identical metrics, so the sweep's report bytes are the bytes
+//! the one-cell runs would emit.
 
-use fe_cfg::workloads;
+use fe_cfg::{workloads, WorkloadSpec};
 use fe_model::MachineConfig;
 use fe_sim::{
-    run_scheme_replayed, BatchSimulator, Experiment, RunLength, SamplingSpec, SchemeSpec,
-    SweepReport,
+    run_scheme_replayed, run_scheme_sampled_replayed, BatchSimulator, CellSampling, Experiment,
+    RunLength, SamplingSpec, SchemeSpec, SweepReport,
 };
 use fe_trace::Trace;
 use proptest::prelude::*;
@@ -32,61 +33,101 @@ fn all_schemes() -> Vec<SchemeSpec> {
     ]
 }
 
-fn sweep(batch: bool, schemes: Vec<SchemeSpec>, seed: u64) -> SweepReport {
-    Experiment::new(MachineConfig::table3())
-        .workloads(workloads::all().into_iter().map(|w| w.scaled(0.1)))
-        .schemes(schemes)
-        .len(LEN)
-        .seed(seed)
-        .threads(3)
-        .batch(batch)
-        .run()
+/// Checks every cell of `report` against the same cell run alone over
+/// the same recording: `SimStats` always, and the `CellSampling`
+/// summary too when the sweep ran sampled.
+fn assert_cells_match_one_cell_runs(report: &SweepReport, workloads: &[WorkloadSpec]) {
+    let machine = MachineConfig::table3();
+    for wl in workloads {
+        let program = wl.build();
+        let trace = Trace::record(&program, report.seed, report.len.trace_instrs(&machine));
+        for scheme in &report.schemes {
+            let cell = report.cell(&wl.name, scheme);
+            let (stats, sampling) = match report.sampling {
+                None => (
+                    run_scheme_replayed(
+                        &program,
+                        &trace,
+                        scheme,
+                        &machine,
+                        report.len,
+                        report.seed,
+                    ),
+                    None,
+                ),
+                Some(spec) => {
+                    let solo = run_scheme_sampled_replayed(
+                        &program,
+                        &trace,
+                        scheme,
+                        &machine,
+                        report.len,
+                        spec,
+                        report.seed,
+                    );
+                    (solo.aggregate(), Some(CellSampling::of(&solo)))
+                }
+            };
+            assert_eq!(
+                cell.stats,
+                stats,
+                "sweep cell ({}, {}) diverged from its one-cell run",
+                wl.name,
+                scheme.label(),
+            );
+            assert_eq!(
+                cell.sampling,
+                sampling,
+                "sampling summary of ({}, {}) diverged from its one-cell run",
+                wl.name,
+                scheme.label(),
+            );
+        }
+    }
 }
 
 #[test]
 fn batch_report_is_byte_identical_across_all_named_workloads_and_schemes() {
-    let batched = sweep(true, all_schemes(), 0x5407);
-    let serial = sweep(false, all_schemes(), 0x5407);
-    assert_eq!(
-        batched.to_json(),
-        serial.to_json(),
-        "batch and serial sweeps must serialize to identical bytes"
-    );
+    let specs: Vec<WorkloadSpec> = workloads::all()
+        .into_iter()
+        .map(|w| w.scaled(0.1))
+        .collect();
+    let report = Experiment::new(MachineConfig::table3())
+        .workloads(specs.clone())
+        .schemes(all_schemes())
+        .len(LEN)
+        .seed(0x5407)
+        .threads(3)
+        .run();
+    assert_cells_match_one_cell_runs(&report, &specs);
 }
 
 #[test]
 fn sampled_batch_report_is_byte_identical() {
-    let spec = SamplingSpec {
-        interval: 30_000,
-        detail: 6_000,
-        warmup: 8_000,
-    };
-    let run = |batch: bool| {
-        Experiment::new(MachineConfig::table3())
-            .workloads([
-                workloads::zeus().scaled(0.15),
-                workloads::nutch().scaled(0.15),
-            ])
-            .schemes([
-                SchemeSpec::NoPrefetch,
-                SchemeSpec::boomerang(),
-                SchemeSpec::shotgun(),
-            ])
-            .len(RunLength {
-                warmup: 40_000,
-                measure: 150_000,
-            })
-            .sampling(spec)
-            .seed(11)
-            .threads(2)
-            .batch(batch)
-            .run()
-    };
-    assert_eq!(
-        run(true).to_json(),
-        run(false).to_json(),
-        "sampled batch and serial sweeps must serialize to identical bytes"
-    );
+    let specs = vec![
+        workloads::zeus().scaled(0.15),
+        workloads::nutch().scaled(0.15),
+    ];
+    let report = Experiment::new(MachineConfig::table3())
+        .workloads(specs.clone())
+        .schemes([
+            SchemeSpec::NoPrefetch,
+            SchemeSpec::boomerang(),
+            SchemeSpec::shotgun(),
+        ])
+        .len(RunLength {
+            warmup: 40_000,
+            measure: 150_000,
+        })
+        .sampling(SamplingSpec {
+            interval: 30_000,
+            detail: 6_000,
+            warmup: 8_000,
+        })
+        .seed(11)
+        .threads(2)
+        .run();
+    assert_cells_match_one_cell_runs(&report, &specs);
 }
 
 /// `Experiment` fixes one `RunLength` per sweep, but the engine itself
@@ -136,14 +177,16 @@ fn heterogeneous_run_lengths_batch_without_cross_talk() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Byte-identity must hold for *any* cell group the sweep could
+    /// Per-cell identity must hold for *any* cell group the sweep could
     /// form: random workload, random scheme subset (any batch width
-    /// from singleton fallback to the full set), random seed.
+    /// from a batch of one to the full set), random seed, either run
+    /// mode.
     #[test]
     fn random_cell_groups_batch_byte_identically(
         which in 0usize..6,
         subset in 1u32..64,
         seed in 1u64..1 << 40,
+        sampled in any::<bool>(),
     ) {
         let schemes: Vec<SchemeSpec> = all_schemes()
             .into_iter()
@@ -153,17 +196,19 @@ proptest! {
             .collect();
         let all = workloads::all();
         let wl = all[which % all.len()].clone().scaled(0.08);
-        let run = |batch: bool| {
-            Experiment::new(MachineConfig::table3())
-                .workload(wl.clone())
-                .schemes(schemes.clone())
-                .len(RunLength { warmup: 15_000, measure: 45_000 })
-                .seed(seed)
-                .threads(2)
-                .batch(batch)
-                .run()
-                .to_json()
-        };
-        prop_assert_eq!(run(true), run(false));
+        let mut sweep = Experiment::new(MachineConfig::table3())
+            .workload(wl.clone())
+            .schemes(schemes)
+            .len(RunLength { warmup: 15_000, measure: 45_000 })
+            .seed(seed)
+            .threads(2);
+        if sampled {
+            sweep = sweep.sampling(SamplingSpec {
+                interval: 15_000,
+                detail: 4_000,
+                warmup: 4_000,
+            });
+        }
+        assert_cells_match_one_cell_runs(&sweep.run(), &[wl]);
     }
 }

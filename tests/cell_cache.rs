@@ -4,10 +4,9 @@
 //! cache-backed sweeps (served results byte-identical to computed
 //! ones, with repeated sweeps recomputing nothing).
 //!
-//! This file owns the only tests that assert on the process-global
-//! `fe_sim::cells_executed` / `fe_cfg::exec::walks_started` deltas
-//! outside `record_once.rs` — keep counter-delta assertions within a
-//! single `#[test]` so parallel test threads cannot interfere.
+//! Every assertion reads evidence of its own run only — the store's
+//! counters and the sweep's own trace directory — so the tests hold
+//! under the default parallel test runner.
 
 use std::sync::Arc;
 
@@ -172,7 +171,10 @@ fn cached_sweep_is_byte_identical_and_recomputes_nothing() {
         warmup: 20_000,
         measure: 50_000,
     };
-    let sweep = |store: Arc<MemoryCellStore>| {
+    let trace_dir =
+        std::env::temp_dir().join(format!("fe-cell-cache-traces-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&trace_dir);
+    let sweep = || {
         Experiment::new(MachineConfig::table3())
             .workload(workloads::nutch().scaled(0.05))
             .workload(workloads::zeus().scaled(0.05))
@@ -184,29 +186,24 @@ fn cached_sweep_is_byte_identical_and_recomputes_nothing() {
             .len(len)
             .seed(9)
             .threads(2)
-            .cell_store(store)
-            .run()
+            .cell_store(Arc::clone(&store) as Arc<dyn CellStore>)
     };
 
-    let cells0 = fe_sim::cells_executed();
-    let cold = sweep(Arc::clone(&store));
-    let computed = fe_sim::cells_executed() - cells0;
-    assert_eq!(computed, 6, "cold sweep computes every cell");
-    assert_eq!(store.puts(), 6, "...and persists every cell");
+    let cold = sweep().run();
+    assert_eq!(store.misses(), 6, "cold sweep finds nothing cached");
+    assert_eq!(store.puts(), 6, "...computes and persists every cell");
 
-    let walks0 = fe_cfg::exec::walks_started();
-    let cells1 = fe_sim::cells_executed();
-    let warm = sweep(store);
+    // A fresh trace directory for the warm sweep: a workload that had
+    // to simulate anything would record (and persist) its walk there.
+    let warm = sweep().trace_dir(&trace_dir).run();
+    assert_eq!(store.hits(), 6, "warm sweep serves every cell");
+    assert_eq!(store.puts(), 6, "warm sweep recomputes nothing");
+    let recorded = std::fs::read_dir(&trace_dir).map_or(0, |entries| entries.count());
     assert_eq!(
-        fe_sim::cells_executed() - cells1,
-        0,
-        "warm sweep recomputes nothing"
-    );
-    assert_eq!(
-        fe_cfg::exec::walks_started() - walks0,
-        0,
+        recorded, 0,
         "fully cached workloads skip the executor walk and recording"
     );
+    let _ = std::fs::remove_dir_all(&trace_dir);
     assert_eq!(
         cold.to_json(),
         warm.to_json(),

@@ -10,7 +10,7 @@ use fe_model::{MachineConfig, SimStats};
 use fe_sim::{
     run_scheme, Experiment, RunLength, SamplingSpec, SchemeSpec, Simulator, SourceKind, SweepReport,
 };
-use fe_trace::Trace;
+use fe_trace::{Trace, TraceStore};
 use fe_uarch::MemorySystem;
 use proptest::prelude::*;
 
@@ -79,66 +79,72 @@ fn replayed_sweep_cells_match_live_execution_for_every_workload() {
     }
 }
 
-/// How a parity run feeds the pipeline — every `SourceKind` variant,
-/// with `Other` covering both payloads the engine used to box.
+/// How a parity run feeds the pipeline — every `SourceKind` a private
+/// simulator can own (`Shared` cursors are the batch engine's; see
+/// `batch_engine.rs`).
 #[derive(Clone, Copy, Debug)]
 enum SourceFlavor {
-    /// `SourceKind::Live` (devirtualized executor walk).
+    /// `SourceKind::Live` (executor walk).
     Live,
-    /// `SourceKind::Replay` (devirtualized trace decode).
+    /// `SourceKind::Replay` (flat trace decode).
     Replay,
-    /// `SourceKind::Other(Box<Executor>)` — the old dyn path, live.
-    DynLive,
-    /// `SourceKind::Other(Box<TraceReplayer>)` — the old dyn path,
-    /// replayed.
-    DynReplay,
+    /// `SourceKind::Store` (chunked v2 store decode).
+    Store,
 }
 
 impl SourceFlavor {
-    const ALL: [SourceFlavor; 4] = [
+    const ALL: [SourceFlavor; 3] = [
         SourceFlavor::Live,
         SourceFlavor::Replay,
-        SourceFlavor::DynLive,
-        SourceFlavor::DynReplay,
+        SourceFlavor::Store,
     ];
 
-    fn build<'p>(self, program: &'p Program, trace: &'p Trace, seed: u64) -> SourceKind<'p> {
+    fn build<'p>(
+        self,
+        program: &'p Program,
+        trace: &'p Trace,
+        store: &'p TraceStore,
+        seed: u64,
+    ) -> SourceKind<'p> {
         match self {
             SourceFlavor::Live => Executor::new(program, seed).into(),
             SourceFlavor::Replay => trace.replayer().into(),
-            SourceFlavor::DynLive => SourceKind::Other(Box::new(Executor::new(program, seed))),
-            SourceFlavor::DynReplay => SourceKind::Other(Box::new(trace.replayer())),
+            SourceFlavor::Store => store.replayer().into(),
         }
     }
 }
 
-/// One full-detail run with an explicit source flavor and scheme
-/// dispatch path (`dyn_scheme` selects `SchemeSpec::build_dyn`, the
-/// boxed reference path).
-#[allow(clippy::too_many_arguments)]
+/// One recording in both on-disk shapes: the flat trace and a chunked
+/// store holding the same stream (small chunks, so runs cross many).
+fn record(
+    program: &Program,
+    seed: u64,
+    len: RunLength,
+    machine: &MachineConfig,
+) -> (Trace, TraceStore) {
+    let trace = Trace::record(program, seed, len.trace_instrs(machine));
+    let store = TraceStore::from_trace_with(&trace, "engine regression", 256);
+    (trace, store)
+}
+
+/// One full-detail run with an explicit source flavor.
 fn run_flavored(
     program: &Program,
-    trace: &Trace,
+    (trace, store): &(Trace, TraceStore),
     spec: &SchemeSpec,
     machine: &MachineConfig,
     len: RunLength,
     seed: u64,
     flavor: SourceFlavor,
-    dyn_scheme: bool,
 ) -> SimStats {
-    let scheme = if dyn_scheme {
-        spec.build_dyn(machine)
-    } else {
-        spec.build(machine)
-    };
     let mem = MemorySystem::new(machine);
     let mut sim = Simulator::with_source(
         program,
         machine.clone(),
-        scheme,
+        spec.build(machine),
         seed,
         mem,
-        flavor.build(program, trace, seed),
+        flavor.build(program, trace, store, seed),
     );
     let stats = sim.run(len.warmup, len.measure);
     assert!(!sim.source_exhausted(), "parity trace ran dry");
@@ -146,12 +152,10 @@ fn run_flavored(
 }
 
 #[test]
-fn enum_dispatch_matches_dyn_dispatch_for_every_named_workload() {
-    // The devirtualized tick path (enum-dispatched scheme + source)
-    // must be bit-identical to the old `Box<dyn>` path on every named
-    // workload: identical `SimStats` derive identical metrics, so the
-    // sweep JSON the devirtualized engine emits is byte-for-byte what
-    // the dynamic engine would have written.
+fn every_source_kind_matches_the_live_walk_for_every_named_workload() {
+    // Every source the pipeline can read must feed it the same stream:
+    // identical `SimStats` derive identical metrics, so the sweep JSON
+    // is byte-for-byte what a live walk would have produced.
     let machine = MachineConfig::table3();
     let len = RunLength {
         warmup: 20_000,
@@ -161,31 +165,26 @@ fn enum_dispatch_matches_dyn_dispatch_for_every_named_workload() {
     for wl in workloads::all() {
         let wl = wl.scaled(0.04);
         let program = wl.build();
-        let trace = Trace::record(&program, 0x5407, len.trace_instrs(&machine));
+        let recording = record(&program, 0x5407, len, &machine);
         for spec in &schemes {
-            let enum_live = run_flavored(
+            let live = run_flavored(
                 &program,
-                &trace,
+                &recording,
                 spec,
                 &machine,
                 len,
                 0x5407,
                 SourceFlavor::Live,
-                false,
             );
             for flavor in SourceFlavor::ALL {
-                for dyn_scheme in [false, true] {
-                    let stats = run_flavored(
-                        &program, &trace, spec, &machine, len, 0x5407, flavor, dyn_scheme,
-                    );
-                    assert_eq!(
-                        stats,
-                        enum_live,
-                        "({}, {}) diverged: flavor {flavor:?}, dyn_scheme {dyn_scheme}",
-                        wl.name,
-                        spec.label(),
-                    );
-                }
+                let stats = run_flavored(&program, &recording, spec, &machine, len, 0x5407, flavor);
+                assert_eq!(
+                    stats,
+                    live,
+                    "({}, {}) diverged: flavor {flavor:?}",
+                    wl.name,
+                    spec.label(),
+                );
             }
         }
     }
@@ -195,7 +194,7 @@ fn enum_dispatch_matches_dyn_dispatch_for_every_named_workload() {
 fn sampled_sweep_json_is_reproducible_on_the_devirtualized_path() {
     // A sampled sweep exercises the enum dispatch through the
     // functional-warming path too (`warm_block`, seekable skips); its
-    // report must stay byte-identical across runs and thread counts.
+    // report must stay byte-identical across thread counts.
     let spec = SamplingSpec {
         interval: 60_000,
         detail: 10_000,
@@ -223,14 +222,13 @@ fn sampled_sweep_json_is_reproducible_on_the_devirtualized_path() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Random (source kind, scheme) pairs agree with the old
-    /// `Box<dyn>` dispatch on final statistics — the devirtualization
-    /// is a pure performance refactor with no semantic surface.
+    /// Random (source kind, scheme) pairs agree with the live walk on
+    /// final statistics.
     #[test]
-    fn random_source_and_scheme_pairs_agree_with_the_dyn_path(
+    fn random_source_and_scheme_pairs_agree_with_the_live_walk(
         which_wl in 0usize..6,
-        which_scheme in 0usize..5,
-        which_flavor in 0usize..4,
+        which_scheme in 0usize..6,
+        which_flavor in 0usize..3,
         seed in 1u64..1 << 40,
     ) {
         let machine = MachineConfig::table3();
@@ -240,23 +238,24 @@ proptest! {
         };
         let all = workloads::all();
         let program = all[which_wl % all.len()].clone().scaled(0.04).build();
-        let trace = Trace::record(&program, seed, len.trace_instrs(&machine));
+        let recording = record(&program, seed, len, &machine);
         let spec = [
             SchemeSpec::NoPrefetch,
             SchemeSpec::Fdip,
             SchemeSpec::boomerang(),
             SchemeSpec::Confluence,
+            SchemeSpec::Ideal,
             SchemeSpec::shotgun(),
-        ][which_scheme % 5]
+        ][which_scheme % 6]
             .clone();
         let flavor = SourceFlavor::ALL[which_flavor % SourceFlavor::ALL.len()];
 
-        let enum_path = run_flavored(&program, &trace, &spec, &machine, len, seed, flavor, false);
-        let dyn_path = run_flavored(&program, &trace, &spec, &machine, len, seed, flavor, true);
+        let live = run_flavored(&program, &recording, &spec, &machine, len, seed, SourceFlavor::Live);
+        let other = run_flavored(&program, &recording, &spec, &machine, len, seed, flavor);
         prop_assert_eq!(
-            enum_path,
-            dyn_path,
-            "({}, {}) flavor {:?}: enum and dyn dispatch disagree",
+            other,
+            live,
+            "({}, {}) flavor {:?}: diverged from the live walk",
             program.name(),
             spec.label(),
             flavor,

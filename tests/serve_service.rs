@@ -1,11 +1,7 @@
 //! Experiment-service integration: checkpoint/resume after a mid-sweep
 //! shutdown and graceful-shutdown semantics (the TCP round trip lives
-//! in `serve_tcp.rs`).
-//!
-//! The kill/resume test relies on the process-global
-//! `fe_sim::cells_executed` counter; its delta assertions live in one
-//! `#[test]` and the other tests here run no sweeps at all, so the
-//! parallel test threads cannot skew the deltas.
+//! in `serve_tcp.rs`). Computed cells are counted by each service's
+//! own cache writes, never by process-global state.
 
 use std::path::PathBuf;
 
@@ -74,7 +70,6 @@ fn killed_service_resumes_without_recomputing() {
     let spec = small_job();
     let total = spec.cell_count() as u64;
     let control = control_report();
-    let cells_before = fe_sim::cells_executed();
 
     // Phase 1: submit, let the first cell finish, then shut down
     // gracefully mid-sweep ("kill" the daemon as SIGTERM would).
@@ -86,7 +81,7 @@ fn killed_service_resumes_without_recomputing() {
         assert!(!first.cached, "a fresh root has nothing cached");
         service.shutdown();
         let state = service.wait(id).expect("job tracked");
-        interrupted_cells = fe_sim::cells_executed() - cells_before;
+        interrupted_cells = service.cache().puts();
         assert!(
             matches!(state, JobState::Interrupted),
             "shutdown after the first of {total} cells must interrupt, got {state:?}"
@@ -113,7 +108,7 @@ fn killed_service_resumes_without_recomputing() {
         panic!("resumed job must complete, got {resumed:?}");
     };
     assert_eq!(
-        fe_sim::cells_executed() - cells_before,
+        interrupted_cells + service.cache().puts(),
         total,
         "across kill + resume, every cell is computed exactly once"
     );
