@@ -4,11 +4,11 @@
 //! Every headline claim this repo makes — byte-identical
 //! serial-vs-batch statistics, thread-count-invariant `SweepReport`
 //! JSON, content-addressed cache hits that are provably safe to serve,
-//! key-verified TAGE retire-share replay — rests on determinism
-//! invariants. This crate turns those invariants from tribal knowledge
-//! into a CI gate: a std-only static scanner (comment/string-aware
-//! line tokenizer, no dependencies) that walks the workspace and
-//! enforces the rule catalog in [`rules::RULES`].
+//! warmed structures one batch cell installs into another — rests on
+//! determinism invariants. This crate turns those invariants from
+//! tribal knowledge into a CI gate: a std-only static scanner
+//! (comment/string-aware line tokenizer, no dependencies) that walks
+//! the workspace and enforces the rule catalog in [`rules::RULES`].
 //!
 //! Violations are waived per site with a comment of the form
 //!

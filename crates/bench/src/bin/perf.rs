@@ -417,9 +417,9 @@ fn write_perf_json(cells: &[PerfCell], len: RunLength, sampling: SamplingSpec, m
         ),
         ("full_mips".into(), mode_mips("full")),
         ("batch_mips".into(), mode_mips("batch")),
-        // What batching adds (shared decode, shared warm, retire-share)
-        // over one-cell trace-driven runs, full detail. CI asserts a
-        // floor on this field.
+        // What batching adds (shared decode, shared warm) over one-cell
+        // trace-driven runs, full detail. CI asserts a floor on this
+        // field.
         ("batch_speedup".into(), ratio("batch", "replay")),
         (
             "batch_sampled_speedup".into(),

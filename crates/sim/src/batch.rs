@@ -43,20 +43,12 @@
 //!   context — so each follower lands in exactly the state its own warm
 //!   would have produced. Cells that restored a warmed-state
 //!   [snapshot](crate::snapshot) have nothing to warm and sit out.
-//! * Cells whose conditional retirement streams are provably identical
-//!   share the TAGE retire-side work: the first cell to reach each
-//!   retirement computes the tables' evolution once and records the
-//!   few entry writes it made; the rest verify the `(pc, taken,
-//!   history)` key and replay the writes instead of re-deriving them
-//!   (see [`TageShare`] and `setup_retire_share`). Any key mismatch
-//!   permanently drops the cell back to local computation, so the
-//!   share can only ever reproduce — never approximate — the cell's own
-//!   result. `SHOTGUN_NO_RETIRE_SHARE=1` switches it off for triage.
 //!
-//! Statistics are per cell: every cell keeps its own pipeline, memory
-//! system, RNG stream, and stall accounting — only the decode (and the
-//! initial warm) is shared — so each cell is byte-identical to the
-//! same cell run alone.
+//! Statistics are per cell: every cell keeps its own pipeline, branch
+//! predictor, memory system, RNG stream, and stall accounting — only
+//! the decode (and the initial warm) is shared — so each cell is
+//! byte-identical to the same cell run alone, whichever other cells
+//! ride in its batch.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -65,7 +57,7 @@ use std::rc::Rc;
 use fe_cfg::Program;
 use fe_model::{BlockSource, MachineConfig, RetiredBlock, SimStats};
 use fe_trace::{ProgramFingerprint, Trace};
-use fe_uarch::{MemorySystem, TageShare};
+use fe_uarch::MemorySystem;
 
 use crate::engine::{EngineScheme, Phase, Simulator};
 use crate::runner::{assert_trace_matches, RunLength, SchemeSpec};
@@ -372,51 +364,6 @@ impl<'p> BatchSimulator<'p> {
         self.cells.is_empty()
     }
 
-    /// Wires a TAGE retire-share through every group of cells whose
-    /// conditional retirement streams are provably identical, so one
-    /// cell computes each table update and the rest replay the recorded
-    /// writes (see [`TageShare`]). Real schemes all discover direction
-    /// mispredicts at retirement and flush, so their surviving
-    /// prediction-time history snapshots equal the retired history —
-    /// the share key `(pc, taken, hist)` is then a pure function of the
-    /// shared stream. Two kinds of cell stay out: `Ideal` cells keep
-    /// mispredicted bits in their speculative history (no flush), so
-    /// their keys diverge from the group's; and cells that restored a
-    /// snapshot skip the warm retirements the group logs. In sampled
-    /// mode cells additionally group by run lengths, whose warm/skip
-    /// schedule shapes the retirement stream.
-    fn setup_retire_share(&mut self) {
-        let mut by_len: Vec<((u64, u64), Vec<usize>)> = Vec::new();
-        for (i, cell) in self.cells.iter().enumerate() {
-            if matches!(cell.sim.state.scheme, EngineScheme::Ideal) {
-                continue;
-            }
-            let key = match cell.sim.phase {
-                // Full-detail cells all retire every block from the
-                // stream start — run lengths only decide when they
-                // stop — so they form a single group.
-                Phase::Warmup { .. } => (0, 0),
-                Phase::InitWarm {
-                    remaining, measure, ..
-                } => (remaining, measure),
-                _ => continue,
-            };
-            match by_len.iter_mut().find(|(k, _)| *k == key) {
-                Some((_, idxs)) => idxs.push(i),
-                None => by_len.push((key, vec![i])),
-            }
-        }
-        for (_, idxs) in by_len {
-            if idxs.len() < 2 {
-                continue;
-            }
-            let share = TageShare::new();
-            for &i in &idxs {
-                self.cells[i].sim.attach_tage_share(share.cursor());
-            }
-        }
-    }
-
     /// Runs every sampled cell's initial warm, sharing the walk across
     /// same-warmup-length cells (see the module docs). Groups and lone
     /// cells advance in bounded per-round chunks so the shared window
@@ -480,13 +427,6 @@ impl<'p> BatchSimulator<'p> {
             let leader_sim = &mut self.cells[leader].sim;
             let warmed = leader_sim.warm_functional_with(chunk, &mut riders);
             leader_sim.consume_warm(warmed);
-            // A leader in a retire-share group recorded its warm
-            // retirements through its cursor; pull the followers' past
-            // them each round so the share log prunes instead of
-            // buffering the whole warm. (The followers never consume
-            // warm deltas — the leader's warmed structures are
-            // installed wholesale below.)
-            let seq = leader_sim.tage_share_seq();
             for (&i, scheme) in group[1..].iter().zip(riders) {
                 let sim = &mut self.cells[i].sim;
                 sim.state.scheme = scheme;
@@ -494,9 +434,6 @@ impl<'p> BatchSimulator<'p> {
                 // exact block boundary the leader's warm stopped at.
                 sim.skip_functional(warmed);
                 sim.consume_warm(warmed);
-                if let Some(seq) = seq {
-                    sim.sync_tage_share(seq);
-                }
             }
             true
         } else {
@@ -505,17 +442,10 @@ impl<'p> BatchSimulator<'p> {
                 .capture_warm_structures()
                 .expect("batch cells own private, snapshottable memory systems");
             let dry = self.cells[leader].sim.state.source_dry;
-            let seq = self.cells[leader].sim.tage_share_seq();
             for &i in &group[1..] {
                 let sim = &mut self.cells[i].sim;
                 sim.install_warm_structures(&structures);
                 sim.state.source_dry = dry;
-                // The installed TAGE already reflects the leader's warm
-                // retirements: reposition the follower's share cursor
-                // to match.
-                if let Some(seq) = seq {
-                    sim.sync_tage_share(seq);
-                }
             }
             for &i in group {
                 // The warm is complete: store snapshots, enter the
@@ -531,14 +461,6 @@ impl<'p> BatchSimulator<'p> {
     /// so no cursor runs more than one round (plus pipeline lookahead)
     /// ahead of the slowest.
     fn drive(&mut self) {
-        // Escape hatch for A/B perf triage and bisecting: the share is
-        // bit-exact by construction, but being able to switch it off
-        // without a rebuild is how its win was measured in the first
-        // place.
-        // audit-allow(no-env-in-engine): A/B triage escape hatch — absent in normal runs, and the share is bit-exact either way, so the knob can never change a result
-        if std::env::var_os("SHOTGUN_NO_RETIRE_SHARE").is_none() {
-            self.setup_retire_share();
-        }
         self.shared_warm();
         let mut quota = ROUND_INSTRS;
         loop {

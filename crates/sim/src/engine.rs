@@ -230,13 +230,10 @@ impl<'p> Simulator<'p> {
         }
     }
 
-    /// Ends the run: the retire-share log and the shared window stop
-    /// holding anything back for this simulator.
+    /// Ends the run: the shared window stops holding anything back for
+    /// this simulator.
     pub(crate) fn finish(&mut self) {
         self.phase = Phase::Done;
-        if let Some(cur) = self.state.tage_share.as_mut() {
-            cur.release();
-        }
         self.state.source.release();
     }
 
@@ -262,25 +259,6 @@ impl<'p> Simulator<'p> {
             stall::account(s, outcome);
         }
         s.now += 1;
-    }
-
-    /// Joins this cell to a batch retire-share group (see
-    /// [`fe_uarch::TageShare`]).
-    pub(crate) fn attach_tage_share(&mut self, cursor: fe_uarch::TageShareCursor) {
-        self.state.tage_share = Some(cursor);
-    }
-
-    /// This cell's retire-share sequence number, if it is in a group.
-    pub(crate) fn tage_share_seq(&self) -> Option<u64> {
-        self.state.tage_share.as_ref().map(|c| c.seq())
-    }
-
-    /// Repositions this cell's retire-share cursor after a shared warm
-    /// installed the leader's predictor state.
-    pub(crate) fn sync_tage_share(&mut self, seq: u64) {
-        if let Some(cur) = self.state.tage_share.as_mut() {
-            cur.sync_to(seq);
-        }
     }
 
     /// The driver's fast-forward over a *quiescent span*: a stretch of

@@ -160,10 +160,10 @@ impl Backend {
             let mispredicted = match s.pred_trace.front().copied() {
                 Some(p) if p.block_start == rb.block.start => {
                     s.pred_trace.pop_front();
-                    s.tage_retire(rb.block.branch_pc(), rb.taken, Some(p.hist));
+                    s.tage.retire_with(rb.block.branch_pc(), rb.taken, p.hist);
                     p.taken != rb.taken
                 }
-                _ => s.tage_retire(rb.block.branch_pc(), rb.taken, None) != rb.taken,
+                _ => s.tage.retire(rb.block.branch_pc(), rb.taken) != rb.taken,
             };
             if mispredicted {
                 s.stats.direction_mispredicts += 1;

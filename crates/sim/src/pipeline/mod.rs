@@ -244,10 +244,6 @@ pub(crate) struct PipelineState<'p> {
     pub(crate) l1i: LineCache,
     pub(crate) mem: MemorySystem,
     pub(crate) tage: Tage,
-    /// When this cell belongs to a batch retire-share group, the
-    /// group's delta-log cursor; TAGE retirements then go through
-    /// [`fe_uarch::Tage::retire_shared`] (see [`PipelineState::tage_retire`]).
-    pub(crate) tage_share: Option<fe_uarch::TageShareCursor>,
     pub(crate) spec_ras: ReturnAddressStack,
     pub(crate) retire_ras: ReturnAddressStack,
     pub(crate) inflight: InflightFills,
@@ -303,7 +299,6 @@ impl<'p> PipelineState<'p> {
             l1i: LineCache::new(cfg.l1i),
             mem,
             tage: Tage::new(cfg.tage),
-            tage_share: None,
             spec_ras: ReturnAddressStack::new(cfg.front_end.ras_entries as usize),
             retire_ras: ReturnAddressStack::new(cfg.front_end.ras_entries as usize),
             inflight: InflightFills::new(cfg.front_end.l1i_mshrs as usize),
@@ -331,25 +326,6 @@ impl<'p> PipelineState<'p> {
     }
 
     /// `true` when the ideal front end drives the BPU.
-    /// Retires one conditional branch against TAGE, through the batch
-    /// retire-share log when this cell is in a group. `hist` is the
-    /// prediction-time history snapshot; `None` trains at retired
-    /// history (the never-predicted case — same value `Tage::retire`
-    /// uses).
-    #[inline]
-    pub(crate) fn tage_retire(
-        &mut self,
-        pc: fe_model::Addr,
-        taken: bool,
-        hist: Option<u128>,
-    ) -> bool {
-        let hist = hist.unwrap_or_else(|| self.tage.retired_snapshot());
-        match self.tage_share.as_mut() {
-            Some(cur) => self.tage.retire_shared(pc, taken, hist, cur),
-            None => self.tage.retire_with(pc, taken, hist),
-        }
-    }
-
     pub(crate) fn is_ideal(&self) -> bool {
         matches!(self.scheme, EngineScheme::Ideal)
     }

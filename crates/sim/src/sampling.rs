@@ -470,7 +470,7 @@ impl<'p> Simulator<'p> {
         }
         match rb.block.kind {
             BranchKind::Conditional => {
-                s.tage_retire(rb.block.branch_pc(), rb.taken, None);
+                s.tage.retire(rb.block.branch_pc(), rb.taken);
             }
             BranchKind::Call | BranchKind::Trap => s.retire_ras.push(RasEntry {
                 ret: rb.block.fall_through(),

@@ -40,4 +40,4 @@ pub use queue::BoundedQueue;
 pub use ras::{RasEntry, ReturnAddressStack};
 pub use scheme::{BpuOutcome, ControlFlowDelivery, FrontEndCtx, PredictedBlock};
 pub use setmap::SetAssocMap;
-pub use tage::{Tage, TageShare, TageShareCursor};
+pub use tage::Tage;

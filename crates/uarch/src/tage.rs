@@ -472,23 +472,6 @@ impl Tage {
     /// update indexes with that same history, keeping training and
     /// prediction coherent in a decoupled front end.
     pub fn retire_with(&mut self, pc: Addr, taken: bool, hist: u128) -> bool {
-        self.retire_with_delta(pc, taken, hist, None)
-    }
-
-    /// The retired-history snapshot a prediction-free retirement trains
-    /// under — the key callers pass to [`Tage::retire_shared`] for the
-    /// [`Tage::retire`] case.
-    pub fn retired_snapshot(&self) -> u128 {
-        self.retired_hist
-    }
-
-    fn retire_with_delta(
-        &mut self,
-        pc: Addr,
-        taken: bool,
-        hist: u128,
-        mut delta: Option<&mut RetireDelta>,
-    ) -> bool {
         // Take the fold state out so its registers can be read while
         // `update` mutates the tables. The retired register set is only
         // valid for `hist == retired_hist` (the common case: in-order
@@ -502,143 +485,13 @@ impl Tage {
         };
         let lookup = self.lookup(pc, hist, scratch);
         let predicted = self.resolve(&lookup);
-        self.update(
-            pc,
-            taken,
-            &lookup,
-            predicted,
-            hist,
-            scratch,
-            delta.as_deref_mut(),
-        );
+        self.update(pc, taken, &lookup, predicted, hist, scratch);
         if let Some(mut f) = fold {
             push_folds(&mut f.retired, &f.meta, self.retired_hist, taken);
             self.fold = Some(f);
         }
         self.retired_hist = (self.retired_hist << 1) | taken as u128;
-        if let Some(d) = delta {
-            d.pc = pc;
-            d.taken = taken;
-            d.hist = hist;
-            d.predicted = predicted;
-            d.use_alt = self.use_alt;
-            d.lfsr = self.lfsr;
-        }
         predicted
-    }
-
-    /// Replays a recorded retirement: stores the delta's final values
-    /// instead of recomputing the lookup and allocation draw. The fold
-    /// registers advance locally — their push depends only on this
-    /// predictor's own retired history, which matches the recorder's.
-    /// Valid only when this predictor's retire-side state equals the
-    /// recording predictor's at recording time — the caller
-    /// ([`Tage::retire_shared`]) guarantees it inductively by verifying
-    /// every delta's input key.
-    fn apply_delta(&mut self, d: &RetireDelta) -> bool {
-        self.updates += 1;
-        if d.u_reset {
-            for table in &mut self.tables {
-                for e in &mut table.entries {
-                    e.set_u(e.u() >> 1);
-                }
-            }
-        }
-        for &(t, idx, bits) in &d.writes[..d.n_writes as usize] {
-            self.tables[t as usize].entries[idx as usize] = TaggedEntry(bits);
-        }
-        if let Some((bi, v)) = d.bimodal {
-            self.bimodal[bi as usize] = v;
-        }
-        self.use_alt = d.use_alt;
-        self.lfsr = d.lfsr;
-        if let Some(f) = self.fold.as_deref_mut() {
-            push_folds(&mut f.retired, &f.meta, self.retired_hist, d.taken);
-        }
-        self.retired_hist = (self.retired_hist << 1) | d.taken as u128;
-        d.predicted
-    }
-
-    /// Retirement through a [`TageShareCursor`]: the first group member
-    /// to reach a given retirement computes the update and records the
-    /// writes; the rest replay them. Every delta carries its full input
-    /// key `(pc, taken, hist)` — since a TAGE retirement is a pure
-    /// function of that key and the retire-side state, and all members
-    /// start identical, matching keys keep member states bit-identical
-    /// by induction. On the first mismatch the member falls back to
-    /// computing locally and permanently leaves the share, so sharing
-    /// can never corrupt a cell — only stop helping it.
-    pub fn retire_shared(
-        &mut self,
-        pc: Addr,
-        taken: bool,
-        hist: u128,
-        cur: &mut TageShareCursor,
-    ) -> bool {
-        if !cur.active {
-            return self.retire_with(pc, taken, hist);
-        }
-        let seq = cur.seq;
-        let mut inner = cur.inner.borrow_mut();
-        // A synced cursor can sit past an empty log: the group's warm
-        // retirements were computed outside the share (by a warm leader
-        // without a cursor) and the members were all repositioned past
-        // them. Re-anchor the log at the first post-sync retirement —
-        // but only once every member is at or past it, so nobody gets
-        // stranded behind the new base.
-        if inner.deltas.is_empty() && seq > inner.base && inner.pos.iter().all(|&p| p >= seq) {
-            inner.base = seq;
-        }
-        let off = match seq.checked_sub(inner.base) {
-            Some(off) if (off as usize) <= inner.deltas.len() => off as usize,
-            // Behind a pruned log, or ahead of it with recordings
-            // missing: this cursor lost sync with its group. Leave the
-            // share and compute locally — sharing only ever degrades to
-            // the serial computation, never to a wrong one.
-            _ => {
-                inner.pos[cur.id] = u64::MAX;
-                inner.prune();
-                drop(inner);
-                cur.active = false;
-                return self.retire_with(pc, taken, hist);
-            }
-        };
-        if off < inner.deltas.len() {
-            let d = &inner.deltas[off];
-            if d.pc == pc && d.taken == taken && d.hist == hist {
-                // An overflowed delta's write list is incomplete: the
-                // key still matched, so compute this one locally — the
-                // same pure function of the same inputs — and stay in
-                // the share.
-                let predicted = if d.overflow {
-                    self.retire_with(pc, taken, hist)
-                } else {
-                    self.apply_delta(d)
-                };
-                cur.seq += 1;
-                inner.pos[cur.id] = cur.seq;
-                inner.maybe_prune();
-                predicted
-            } else {
-                inner.pos[cur.id] = u64::MAX;
-                inner.prune();
-                drop(inner);
-                cur.active = false;
-                self.retire_with(pc, taken, hist)
-            }
-        } else {
-            // `off == deltas.len()` by the guard above: this member is
-            // the first to reach the retirement — compute and record.
-            drop(inner);
-            let mut d = RetireDelta::default();
-            let predicted = self.retire_with_delta(pc, taken, hist, Some(&mut d));
-            let mut inner = cur.inner.borrow_mut();
-            inner.deltas.push_back(d);
-            cur.seq += 1;
-            inner.pos[cur.id] = cur.seq;
-            inner.maybe_prune();
-            predicted
-        }
     }
 
     /// Approximate storage use in bits (see `TageConfig::storage_bits`).
@@ -810,7 +663,6 @@ impl Tage {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn update(
         &mut self,
         pc: Addr,
@@ -819,7 +671,6 @@ impl Tage {
         final_pred: bool,
         hist: u128,
         scratch: Option<&[[u64; 3]; MAX_TAGGED_TABLES]>,
-        mut delta: Option<&mut RetireDelta>,
     ) {
         self.updates += 1;
         if self.updates.is_multiple_of(U_RESET_PERIOD) {
@@ -827,9 +678,6 @@ impl Tage {
                 for e in &mut table.entries {
                     e.set_u(e.u() >> 1);
                 }
-            }
-            if let Some(d) = delta.as_deref_mut() {
-                d.u_reset = true;
             }
         }
 
@@ -852,25 +700,13 @@ impl Tage {
                     }
                 }
                 entry.set_ctr(bump(entry.ctr(), taken));
-                let bits = entry.0;
-                if let Some(d) = delta.as_deref_mut() {
-                    d.push_write(t, l.provider_index, bits);
-                }
                 // Also train the bimodal when the provider is weak, so
                 // the base stays a usable fallback.
                 if l.provider_weak {
                     self.bump_bimodal(l.bimodal_index, taken);
-                    if let Some(d) = delta.as_deref_mut() {
-                        d.bimodal = Some((l.bimodal_index as u32, self.bimodal[l.bimodal_index]));
-                    }
                 }
             }
-            None => {
-                self.bump_bimodal(l.bimodal_index, taken);
-                if let Some(d) = delta.as_deref_mut() {
-                    d.bimodal = Some((l.bimodal_index as u32, self.bimodal[l.bimodal_index]));
-                }
-            }
+            None => self.bump_bimodal(l.bimodal_index, taken),
         }
 
         // Allocate a longer-history entry on a misprediction. Table
@@ -892,10 +728,6 @@ impl Tage {
                 for t in start..self.tables.len() {
                     let e = &mut self.tables[t].entries[l.indices[t] as usize];
                     e.set_u(e.u().saturating_sub(1));
-                    let bits = e.0;
-                    if let Some(d) = delta.as_deref_mut() {
-                        d.push_write(t, l.indices[t] as usize, bits);
-                    }
                 }
             } else {
                 // Prefer the shortest candidate with probability 2/3,
@@ -906,11 +738,8 @@ impl Tage {
                     candidates[1 + self.lfsr_bits(8) as usize % (found - 1)]
                 };
                 let tag = self.tag(pick, pc.get() >> 2, hist, scratch);
-                let e = TaggedEntry::new(true, tag, if taken { 0 } else { -1 }, 0);
-                self.tables[pick].entries[l.indices[pick] as usize] = e;
-                if let Some(d) = delta {
-                    d.push_write(pick, l.indices[pick] as usize, e.0);
-                }
+                self.tables[pick].entries[l.indices[pick] as usize] =
+                    TaggedEntry::new(true, tag, if taken { 0 } else { -1 }, 0);
             }
         }
     }
@@ -963,179 +792,6 @@ impl Tage {
             out = (out << 1) | bit;
         }
         out
-    }
-}
-
-/// Everything one [`Tage::retire_with`] call writes, recorded by the
-/// first batch-group member to retire a branch and replayed by the
-/// rest (see [`Tage::retire_shared`]). The input key `(pc, taken,
-/// hist)` rides along so a replaying member can verify the recording
-/// is the exact call it was about to make.
-/// Inline table-write slots per delta. The common retirement writes at
-/// most two tagged entries (provider training + one allocation); the
-/// rare failed-allocation decrement sweep touches up to one entry per
-/// table and overflows — replayers then recompute that retirement
-/// locally. Kept small on purpose: the log streams through the cache
-/// between staggered cells, and every byte of delta evicts a byte of
-/// the predictor tables the batch engine is trying to keep resident.
-const MAX_SHARE_WRITES: usize = 4;
-
-#[derive(Clone, Debug)]
-struct RetireDelta {
-    pc: Addr,
-    taken: bool,
-    hist: u128,
-    /// `retire_with`'s return value.
-    predicted: bool,
-    /// A periodic useful-counter halving fired during this update.
-    u_reset: bool,
-    /// The inline write slots ran out: `writes` is incomplete and the
-    /// replayer computes the retirement locally instead.
-    overflow: bool,
-    use_alt: u8,
-    lfsr: u32,
-    n_writes: u8,
-    /// `(table, index, packed entry)` — final values, applied in order.
-    writes: [(u8, u16, u32); MAX_SHARE_WRITES],
-    /// `(index, final value)` of the bimodal counter trained, if any.
-    bimodal: Option<(u32, u8)>,
-}
-
-impl Default for RetireDelta {
-    fn default() -> Self {
-        RetireDelta {
-            pc: Addr::new(0),
-            taken: false,
-            hist: 0,
-            predicted: false,
-            u_reset: false,
-            overflow: false,
-            use_alt: 0,
-            lfsr: 0,
-            n_writes: 0,
-            writes: [(0, 0, 0); MAX_SHARE_WRITES],
-            bimodal: None,
-        }
-    }
-}
-
-impl RetireDelta {
-    #[inline]
-    fn push_write(&mut self, table: usize, index: usize, bits: u32) {
-        if (self.n_writes as usize) < MAX_SHARE_WRITES {
-            self.writes[self.n_writes as usize] = (table as u8, index as u16, bits);
-            self.n_writes += 1;
-        } else {
-            self.overflow = true;
-        }
-    }
-}
-
-/// Delta log entries consumed between prunes.
-const SHARE_PRUNE_PERIOD: u32 = 8_192;
-
-struct ShareInner {
-    /// `deltas[0]` is retirement sequence number `base`.
-    deltas: std::collections::VecDeque<RetireDelta>,
-    base: u64,
-    /// Per-member next-unconsumed sequence number (`u64::MAX` =
-    /// released or opted out).
-    pos: Vec<u64>,
-    since_prune: u32,
-}
-
-impl ShareInner {
-    #[inline]
-    fn maybe_prune(&mut self) {
-        self.since_prune += 1;
-        if self.since_prune >= SHARE_PRUNE_PERIOD {
-            self.prune();
-        }
-    }
-
-    fn prune(&mut self) {
-        self.since_prune = 0;
-        let min = self.pos.iter().copied().min().unwrap_or(self.base);
-        while self.base < min && !self.deltas.is_empty() {
-            self.deltas.pop_front();
-            self.base += 1;
-        }
-    }
-}
-
-/// A retirement-delta log shared by batch cells whose TAGE retire
-/// streams are identical — cells simulating the same trace with the
-/// same predictor configuration. One member computes each retirement;
-/// the rest replay the recorded writes (see [`Tage::retire_shared`]).
-pub struct TageShare {
-    inner: std::rc::Rc<std::cell::RefCell<ShareInner>>,
-}
-
-impl TageShare {
-    /// An empty log with no members.
-    #[allow(clippy::new_without_default)]
-    pub fn new() -> Self {
-        TageShare {
-            inner: std::rc::Rc::new(std::cell::RefCell::new(ShareInner {
-                deltas: std::collections::VecDeque::with_capacity(1024),
-                base: 0,
-                pos: Vec::new(),
-                since_prune: 0,
-            })),
-        }
-    }
-
-    /// Registers a member at the start of the retirement stream.
-    pub fn cursor(&self) -> TageShareCursor {
-        let mut inner = self.inner.borrow_mut();
-        assert_eq!(
-            inner.base, 0,
-            "members must register before retirement starts"
-        );
-        inner.pos.push(0);
-        TageShareCursor {
-            inner: std::rc::Rc::clone(&self.inner),
-            id: inner.pos.len() - 1,
-            seq: 0,
-            active: true,
-        }
-    }
-}
-
-/// One member's position in a [`TageShare`] log.
-pub struct TageShareCursor {
-    inner: std::rc::Rc<std::cell::RefCell<ShareInner>>,
-    id: usize,
-    /// This member's next retirement sequence number.
-    seq: u64,
-    /// Cleared on the first key mismatch: the member computes locally
-    /// from then on (its stream diverged from the group's).
-    active: bool,
-}
-
-impl TageShareCursor {
-    /// This member's next retirement sequence number.
-    pub fn seq(&self) -> u64 {
-        self.seq
-    }
-
-    /// Repositions the member at `seq` — used after a shared warm
-    /// installs the leader's predictor state, which stands at the
-    /// leader's retirement count.
-    pub fn sync_to(&mut self, seq: u64) {
-        self.seq = seq;
-        let mut inner = self.inner.borrow_mut();
-        inner.pos[self.id] = seq;
-        inner.prune();
-    }
-
-    /// Marks the member finished so the log no longer retains deltas
-    /// for it.
-    pub fn release(&mut self) {
-        self.active = false;
-        let mut inner = self.inner.borrow_mut();
-        inner.pos[self.id] = u64::MAX;
-        inner.prune();
     }
 }
 
@@ -1697,59 +1353,6 @@ mod tests {
     }
 
     #[test]
-    fn fold_scratch_is_bit_identical_to_classic_folding() {
-        // Drive two predictors — one with scratch enabled mid-stream,
-        // one without — through the decoupled-front-end idiom: predict
-        // under spec history, snapshot it, retire under the snapshot,
-        // with periodic redirects repairing spec from retired. Every
-        // prediction and every retire-time result must agree.
-        let mut classic = tage();
-        let mut scratch = tage();
-        let mut next = splitmix(0xBEEF);
-        let mut pending: Vec<(Addr, bool, u128)> = Vec::new();
-        for step in 0..30_000u32 {
-            if step == 5_000 {
-                scratch.enable_fold_scratch();
-            }
-            let pc = Addr::new(0x1000 + (next() % 512) * 0x10);
-            let taken = !next().is_multiple_of(3);
-            assert_eq!(classic.predict(pc), scratch.predict(pc), "step {step}");
-            pending.push((pc, taken, classic.spec_snapshot()));
-            assert_eq!(classic.spec_snapshot(), scratch.spec_snapshot());
-            classic.push_spec(taken);
-            scratch.push_spec(taken);
-            // Retire with a lag, as the pipeline does.
-            if pending.len() > 4 {
-                let (rpc, rtaken, snap) = pending.remove(0);
-                assert_eq!(
-                    classic.retire_with(rpc, rtaken, snap),
-                    scratch.retire_with(rpc, rtaken, snap),
-                    "retire at step {step}"
-                );
-            }
-            if next().is_multiple_of(64) {
-                // A redirect drops the in-flight window, retires the
-                // oldest under a stale snapshot (exercising the
-                // fallback), and repairs spec history.
-                if let Some((rpc, rtaken, snap)) = pending.pop() {
-                    assert_eq!(
-                        classic.retire_with(rpc, rtaken, snap),
-                        scratch.retire_with(rpc, rtaken, snap),
-                    );
-                }
-                pending.clear();
-                classic.redirect();
-                scratch.redirect();
-            }
-        }
-        assert_eq!(classic.retired_hist, scratch.retired_hist);
-        assert_eq!(classic.spec_hist, scratch.spec_hist);
-        for pc in (0..256u64).map(|i| Addr::new(0x2000 + i * 0x20)) {
-            assert_eq!(classic.predict(pc), scratch.predict(pc));
-        }
-    }
-
-    #[test]
     fn optimized_fold_matches_reference_on_random_inputs() {
         // Deterministic pseudo-random sweep (SplitMix64 stream) across
         // the whole input space — the fast path has no excuse to differ
@@ -1819,24 +1422,85 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(8))]
 
-        /// The packed predictor — fold scratch enabled mid-run, so the
-        /// whole optimized stack is under test — must be bit-identical
-        /// to the unpacked, from-scratch-folding reference across
-        /// random (workload, seed) pairs. The "workload" here is the
-        /// branch-stream shape: working-set size, taken bias, and the
-        /// redirect/lag pattern of a decoupled front end.
+        /// Drive two predictors — one with fold scratch enabled at step
+        /// `enable_at`, one without — through the decoupled-front-end
+        /// idiom: predict under spec history, snapshot it, retire under
+        /// the snapshot, with periodic redirects repairing spec from
+        /// retired. Every prediction and every retire-time result must
+        /// agree. Each case enables either at step 0, the configuration
+        /// every simulator runs (scratch armed at construction), or,
+        /// with equal odds, mid-stream from a warmed classic state.
+        #[test]
+        fn fold_scratch_is_bit_identical_to_classic_folding(
+            enable_at in prop_oneof![0u32..1, 1u32..2_000],
+        ) {
+            let mut classic = tage();
+            let mut scratch = tage();
+            let mut next = splitmix(0xBEEF);
+            let mut pending: Vec<(Addr, bool, u128)> = Vec::new();
+            for step in 0..30_000u32 {
+                if step == enable_at {
+                    scratch.enable_fold_scratch();
+                }
+                let pc = Addr::new(0x1000 + (next() % 512) * 0x10);
+                let taken = !next().is_multiple_of(3);
+                prop_assert_eq!(classic.predict(pc), scratch.predict(pc), "step {step}");
+                pending.push((pc, taken, classic.spec_snapshot()));
+                prop_assert_eq!(classic.spec_snapshot(), scratch.spec_snapshot());
+                classic.push_spec(taken);
+                scratch.push_spec(taken);
+                // Retire with a lag, as the pipeline does.
+                if pending.len() > 4 {
+                    let (rpc, rtaken, snap) = pending.remove(0);
+                    prop_assert_eq!(
+                        classic.retire_with(rpc, rtaken, snap),
+                        scratch.retire_with(rpc, rtaken, snap),
+                        "retire at step {step}"
+                    );
+                }
+                if next().is_multiple_of(64) {
+                    // A redirect drops the in-flight window, retires the
+                    // oldest under a stale snapshot (exercising the
+                    // fallback), and repairs spec history.
+                    if let Some((rpc, rtaken, snap)) = pending.pop() {
+                        prop_assert_eq!(
+                            classic.retire_with(rpc, rtaken, snap),
+                            scratch.retire_with(rpc, rtaken, snap),
+                        );
+                    }
+                    pending.clear();
+                    classic.redirect();
+                    scratch.redirect();
+                }
+            }
+            prop_assert_eq!(classic.retired_hist, scratch.retired_hist);
+            prop_assert_eq!(classic.spec_hist, scratch.spec_hist);
+            for pc in (0..256u64).map(|i| Addr::new(0x2000 + i * 0x20)) {
+                prop_assert_eq!(classic.predict(pc), scratch.predict(pc));
+            }
+        }
+
+        /// The packed predictor — fold scratch enabled at step
+        /// `enable_at`, so the whole optimized stack is under test —
+        /// must be bit-identical to the unpacked, from-scratch-folding
+        /// reference across random (workload, seed) pairs. As above,
+        /// each case enables either at step 0, the production
+        /// configuration, or mid-stream. The "workload" here is the branch-stream shape: working-set
+        /// size, taken bias, and the redirect/lag pattern of a
+        /// decoupled front end.
         #[test]
         fn packed_tage_matches_unpacked_reference(
             seed in 1u64..1 << 48,
             pc_count in 16u64..512,
             bias in 2u64..6,
+            enable_at in prop_oneof![0u32..1, 1u32..2_000],
         ) {
             let mut packed = tage();
             let mut unpacked = reference::RefTage::new(TageConfig::default());
             let mut next = splitmix(seed);
             let mut pending: Vec<(Addr, bool, u128)> = Vec::new();
             for step in 0..8_000u32 {
-                if step == 1_000 {
+                if step == enable_at {
                     packed.enable_fold_scratch();
                 }
                 let pc = Addr::new(0x1000 + (next() % pc_count) * 0x10);

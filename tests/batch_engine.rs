@@ -1,8 +1,8 @@
 //! Batch-engine equivalence: in a multi-scheme sweep the cells of a
-//! workload share one decode pass, one initial functional warm and the
-//! TAGE retire-share, yet every cell must carry exactly the statistics
-//! of the same cell run alone through a one-cell wrapper — across
-//! workloads, scheme sets, seeds and run shapes. Identical statistics
+//! workload share one decode pass and one initial functional warm, yet
+//! every cell must carry exactly the statistics of the same cell run
+//! alone through a one-cell wrapper — across workloads, scheme sets,
+//! seeds and run shapes. Identical statistics
 //! derive identical metrics, so the sweep's report bytes are the bytes
 //! the one-cell runs would emit.
 
