@@ -9,12 +9,12 @@
 //! the initial functional warm (or a snapshot restore) and the interval
 //! loop. [`Simulator::run`] and [`Simulator::run_sampled`] set a phase
 //! and advance it to completion; the [batch engine](crate::batch)
-//! advances N cells in bounded turns through the very same steps. Both
-//! bit-exact accelerations are always on: every simulator arms the TAGE
-//! fold scratch at construction, and every tick first tries to skip a
-//! provably quiet span. [`MultiSimulator`](crate::MultiSimulator) keeps
-//! its own per-cycle lockstep loop (its contexts share memory every
-//! cycle) and ticks through [`Simulator::tick_once`].
+//! advances N cells in bounded turns through the very same steps. Every
+//! tick first tries to skip a provably quiet span, a bit-exact
+//! acceleration that is always on.
+//! [`MultiSimulator`](crate::MultiSimulator) keeps its own per-cycle
+//! lockstep loop (its contexts share memory every cycle) and ticks
+//! through [`Simulator::tick_once`].
 
 use fe_cfg::{Executor, Program};
 use fe_model::{MachineConfig, SimStats};
@@ -143,12 +143,8 @@ impl<'p> Simulator<'p> {
         mem: MemorySystem,
         source: impl Into<SourceKind<'p>>,
     ) -> Self {
-        let mut state = PipelineState::new(program, cfg, scheme, mem, source.into());
-        // Incrementally maintained folded histories: bit-identical
-        // predictions, O(1) per history push.
-        state.tage.enable_fold_scratch();
         Simulator {
-            state,
+            state: PipelineState::new(program, cfg, scheme, mem, source.into()),
             bpu: Bpu,
             fetch: FetchUnit,
             backend: Backend::new(seed),

@@ -23,8 +23,8 @@
 //! Every run takes the same path: a sweep workload's uncached cells
 //! and each one-cell wrapper run as one [`BatchSimulator`] batch (a
 //! batch of one for a lone cell), whose cells advance through the one
-//! run driver on [`Simulator`] (see the [`engine`] module) with TAGE
-//! fold scratch and quiet-span skipping always on.
+//! run driver on [`Simulator`] (see the [`engine`] module) with
+//! quiet-span skipping always on.
 //!
 //! ```no_run
 //! use fe_cfg::workloads;

@@ -9,6 +9,8 @@
 //! from the retired one — the standard recovery scheme. Table state is
 //! only ever updated at retirement, with indices recomputed from retired
 //! history (identical to the speculative indices on the correct path).
+//! Each history register carries a set of incrementally maintained
+//! folded histories (see `FoldState`), so a lookup never folds.
 
 use fe_model::config::TageConfig;
 use fe_model::Addr;
@@ -58,8 +60,8 @@ impl TaggedEntry {
         )
     }
 
-    /// Invalid all-zero entry (scratch-scan placeholder; never read as
-    /// a real entry).
+    /// Invalid all-zero entry (lookup placeholder; never read as a real
+    /// entry).
     #[inline]
     fn empty() -> Self {
         TaggedEntry(0)
@@ -113,31 +115,28 @@ struct TaggedTable {
 }
 
 /// Where a prediction came from, carried to the update path — along
-/// with the table indices the lookup already folded, so the update and
-/// allocation paths never re-fold the history.
+/// with every table's index and tag under the lookup's history, so the
+/// update and allocation paths never recompute them.
 #[derive(Clone, Copy, Debug)]
 struct Lookup {
     provider: Option<usize>,
-    provider_index: usize,
     provider_pred: bool,
     provider_weak: bool,
     alt_pred: bool,
     bimodal_index: usize,
-    /// Entry index per tagged table under the lookup's history. Valid
-    /// for every table whose history is at least as long as the
-    /// provider's — exactly the range the update's allocation path
-    /// touches; the longest-first scan may stop before reaching the
-    /// shorter tables. `u16` suffices: `tagged_bits` is capped at 16
-    /// by `MachineConfig::validate`.
+    /// Entry index per tagged table. `u16` suffices: `tagged_bits` is
+    /// capped at 16 by `MachineConfig::validate`, as is `tag_width`.
     indices: [u16; MAX_TAGGED_TABLES],
+    /// Tag of the looked-up pc per tagged table.
+    tags: [u16; MAX_TAGGED_TABLES],
 }
 
-/// Incrementally-maintained folded histories — the "fold scratch".
+/// Incrementally-maintained folded histories — the fold registers.
 ///
-/// A lookup folds the masked history into three widths per tagged
-/// table (index, tag, tag−1). Folding is XOR over `w`-wide chunks,
-/// which is reduction of the history polynomial mod `x^w + 1` in
-/// GF(2) — a linear map, so pushing one bit updates the fold in O(1):
+/// A lookup needs the masked history folded into three widths per
+/// tagged table (index, tag, tag−1). Folding is XOR over `w`-wide
+/// chunks, which is reduction of the history polynomial mod `x^w + 1`
+/// in GF(2) — a linear map, so pushing one bit updates the fold in O(1):
 ///
 /// ```text
 /// fold' = rotl_w(fold) ^ inserted ^ (evicted << (len mod w))
@@ -146,12 +145,12 @@ struct Lookup {
 /// where `evicted` is bit `len−1` of the pre-shift history. One
 /// register set tracks the speculative history, one the retired; a
 /// redirect copies retired over speculative, mirroring the history
-/// registers themselves. Derived state: rebuildable from the history
-/// registers at any time (that is exactly what [`Tage::
-/// enable_fold_scratch`] does), so it needs no serialization.
+/// registers themselves. Derived state: rebuildable from a history
+/// register at any time with [`init_folds`], so it needs no
+/// serialization.
 #[derive(Clone, Debug)]
 struct FoldState {
-    /// Push-invariant constants, precomputed once at enable time.
+    /// Push-invariant constants, precomputed once at construction.
     meta: FoldMeta,
     /// Per tagged table, per width: fold of the spec-history mask.
     spec: [[u64; 3]; MAX_TAGGED_TABLES],
@@ -173,9 +172,7 @@ struct FoldMeta {
     masks: [u64; 3],
     /// `tag_width == tagged_bits` (the default geometry): plane 1 of
     /// every register would equal plane 0 at all times, so pushes skip
-    /// maintaining it and readers take plane 0 instead — the scratch
-    /// counterpart of the classic path reusing the index fold as the
-    /// first tag fold.
+    /// maintaining it and readers take plane 0 instead.
     same_width: bool,
     /// Tagged-table count (fold registers beyond it stay zero).
     n_tables: usize,
@@ -218,7 +215,7 @@ impl FoldMeta {
 /// Advances one register set for a history push of `bit`, where `hist`
 /// is the register value *before* the shift. This runs 2+ times per
 /// retired conditional (spec push at predict, retired push at commit)
-/// and is the fold scratch's entire maintenance cost, so it is tuned:
+/// and is the fold registers' entire maintenance cost, so it is tuned:
 /// the evicted history bit comes from a pre-split 64-bit half (a
 /// variable `u128` shift per table costs several instructions), the
 /// width planes are unrolled with their loop-invariant guards hoisted,
@@ -269,10 +266,9 @@ fn init_folds(
     hist: u128,
 ) -> [[u64; 3]; MAX_TAGGED_TABLES] {
     let mut regs = [[0u64; 3]; MAX_TAGGED_TABLES];
-    for (t, table) in tables.iter().enumerate() {
-        let h = MaskedHist::new(hist, table.hist_len);
-        for (reg, &w) in regs[t].iter_mut().zip(widths.iter()) {
-            *reg = h.fold(w);
+    for (regs_t, table) in regs.iter_mut().zip(tables) {
+        for (reg, &w) in regs_t.iter_mut().zip(widths.iter()) {
+            *reg = fold_reference(hist, table.hist_len, w);
         }
     }
     regs
@@ -304,9 +300,8 @@ pub struct Tage {
     lfsr: u32,
     updates: u64,
     tag_mask: u16,
-    /// Opt-in incremental fold registers (see [`FoldState`]); `None`
-    /// keeps the classic fold-per-lookup path byte-for-byte intact.
-    fold: Option<Box<FoldState>>,
+    /// Folded speculative and retired histories (see [`FoldState`]).
+    fold: FoldState,
 }
 
 impl Tage {
@@ -324,7 +319,7 @@ impl Tage {
             cfg.tagged_bits,
             cfg.tag_width,
         );
-        let tables = (0..cfg.tagged_tables)
+        let tables: Vec<TaggedTable> = (0..cfg.tagged_tables)
             .map(|t| {
                 let hist_len = geometric_length(&cfg, t);
                 TaggedTable {
@@ -334,6 +329,18 @@ impl Tage {
                 }
             })
             .collect();
+        let widths = [
+            cfg.tagged_bits,
+            cfg.tag_width,
+            cfg.tag_width.saturating_sub(1),
+        ];
+        // Both histories start empty, and every fold of an empty history
+        // is zero.
+        let fold = FoldState {
+            meta: FoldMeta::new(widths, &tables),
+            spec: [[0; 3]; MAX_TAGGED_TABLES],
+            retired: [[0; 3]; MAX_TAGGED_TABLES],
+        };
         Tage {
             // Weakly not-taken start: compilers lay out the common path
             // as fall-through, so a cold branch is best guessed
@@ -346,109 +353,32 @@ impl Tage {
             lfsr: 0xACE1,
             updates: 0,
             tag_mask: ((1u32 << cfg.tag_width) - 1) as u16,
-            fold: None,
+            fold,
             cfg,
         }
     }
 
-    /// Switches lookups to incrementally-maintained folded histories
-    /// (see the private `FoldState`): O(1) per history push instead of O(len/w)
-    /// folds per table per lookup. Predictions and state remain
-    /// bit-identical — the registers are a cached form of the same
-    /// folds. Every `fe-sim` simulator enables this at construction;
-    /// the classic folds stay as the reference the tests check against.
-    pub fn enable_fold_scratch(&mut self) {
-        let widths = [
-            self.cfg.tagged_bits,
-            self.cfg.tag_width,
-            self.cfg.tag_width.saturating_sub(1),
-        ];
-        self.fold = Some(Box::new(FoldState {
-            meta: FoldMeta::new(widths, &self.tables),
-            spec: init_folds(&widths, &self.tables, self.spec_hist),
-            retired: init_folds(&widths, &self.tables, self.retired_hist),
-        }));
-    }
+    /// Does nothing: every predictor maintains its fold registers from
+    /// construction. Kept for existing callers.
+    #[doc(hidden)]
+    pub fn enable_fold_scratch(&mut self) {}
 
     /// Predicts the direction of the conditional branch at `pc` using
-    /// the *speculative* history (branch-prediction-unit path). With
-    /// fold scratch armed this takes the prediction-only path: the
-    /// `Lookup`'s table-index cache exists for the retire-time update
-    /// and a prediction discards it, so none of it is materialized.
+    /// the *speculative* history (branch-prediction-unit path).
     pub fn predict(&self, pc: Addr) -> bool {
-        match &self.fold {
-            Some(f) => self.predict_scratch(pc, &f.spec),
-            None => {
-                let l = self.lookup(pc, self.spec_hist, None);
-                self.resolve(&l)
-            }
-        }
-    }
-
-    /// Fold-scratch prediction: same provider/alternate scan as
-    /// [`Tage::lookup_scratch`] but resolving straight to a direction,
-    /// with no `Lookup` materialized.
-    fn predict_scratch(&self, pc: Addr, regs: &[[u64; 3]; MAX_TAGGED_TABLES]) -> bool {
-        let pc_bits = pc.get() >> 2;
-        let plane1 = if self.cfg.tag_width == self.cfg.tagged_bits {
-            0
-        } else {
-            1
-        };
-        let n = self.tables.len();
-        let mut entries = [TaggedEntry::empty(); MAX_TAGGED_TABLES];
-        let mut tags = [0u16; MAX_TAGGED_TABLES];
-        for t in 0..n {
-            let idx =
-                ((pc_bits ^ (pc_bits >> (self.cfg.tagged_bits as u64 + t as u64)) ^ regs[t][0])
-                    & self.tables[t].index_mask) as usize;
-            entries[t] = self.tables[t].entries[idx];
-            tags[t] = ((pc_bits ^ regs[t][plane1] ^ (regs[t][2] << 1)) as u16) & self.tag_mask;
-        }
-        let mut provider: Option<TaggedEntry> = None;
-        let mut alt: Option<bool> = None;
-        for t in (0..n).rev() {
-            if entries[t].valid() && entries[t].tag() == tags[t] {
-                if provider.is_none() {
-                    provider = Some(entries[t]);
-                } else {
-                    alt = Some(entries[t].ctr() >= 0);
-                    break;
-                }
-            }
-        }
-        match provider {
-            Some(e) => {
-                let weak = e.ctr() == 0 || e.ctr() == -1;
-                if weak && self.use_alt >= 8 {
-                    alt.unwrap_or_else(|| self.bimodal_pred(pc_bits))
-                } else {
-                    e.ctr() >= 0
-                }
-            }
-            None => self.bimodal_pred(pc_bits),
-        }
-    }
-
-    #[inline]
-    fn bimodal_pred(&self, pc_bits: u64) -> bool {
-        self.bimodal[(pc_bits & ((1 << self.cfg.base_bits) - 1)) as usize] >= 2
+        self.resolve(&self.lookup(pc, &self.fold.spec))
     }
 
     /// Advances the speculative history with a predicted outcome.
     pub fn push_spec(&mut self, taken: bool) {
-        if let Some(f) = self.fold.as_deref_mut() {
-            push_folds(&mut f.spec, &f.meta, self.spec_hist, taken);
-        }
+        push_folds(&mut self.fold.spec, &self.fold.meta, self.spec_hist, taken);
         self.spec_hist = (self.spec_hist << 1) | taken as u128;
     }
 
     /// Repairs the speculative history from retired state after a
     /// pipeline redirect.
     pub fn redirect(&mut self) {
-        if let Some(f) = self.fold.as_deref_mut() {
-            f.spec = f.retired;
-        }
+        self.fold.spec = self.fold.retired;
         self.spec_hist = self.retired_hist;
     }
 
@@ -472,24 +402,24 @@ impl Tage {
     /// update indexes with that same history, keeping training and
     /// prediction coherent in a decoupled front end.
     pub fn retire_with(&mut self, pc: Addr, taken: bool, hist: u128) -> bool {
-        // Take the fold state out so its registers can be read while
-        // `update` mutates the tables. The retired register set is only
-        // valid for `hist == retired_hist` (the common case: in-order
-        // retirement trains under the retired history, and decoupled
-        // snapshots match it on the correct path); any other snapshot
-        // falls back to folding from scratch.
-        let fold = self.fold.take();
-        let scratch = match fold.as_deref() {
-            Some(f) if hist == self.retired_hist => Some(&f.retired),
-            _ => None,
+        // The retired register set folds exactly `retired_hist` — the
+        // common case: in-order retirement trains under the retired
+        // history, and decoupled snapshots match it on the correct
+        // path. Any other snapshot is folded from scratch.
+        let lookup = if hist == self.retired_hist {
+            self.lookup(pc, &self.fold.retired)
+        } else {
+            let regs = init_folds(&self.fold.meta.widths, &self.tables, hist);
+            self.lookup(pc, &regs)
         };
-        let lookup = self.lookup(pc, hist, scratch);
         let predicted = self.resolve(&lookup);
-        self.update(pc, taken, &lookup, predicted, hist, scratch);
-        if let Some(mut f) = fold {
-            push_folds(&mut f.retired, &f.meta, self.retired_hist, taken);
-            self.fold = Some(f);
-        }
+        self.update(taken, &lookup, predicted);
+        push_folds(
+            &mut self.fold.retired,
+            &self.fold.meta,
+            self.retired_hist,
+            taken,
+        );
         self.retired_hist = (self.retired_hist << 1) | taken as u128;
         predicted
     }
@@ -510,76 +440,14 @@ impl Tage {
         }
     }
 
-    fn lookup(
-        &self,
-        pc: Addr,
-        hist: u128,
-        scratch: Option<&[[u64; 3]; MAX_TAGGED_TABLES]>,
-    ) -> Lookup {
-        if let Some(regs) = scratch {
-            return self.lookup_scratch(pc, regs);
-        }
-        let pc_bits = pc.get() >> 2;
-        let bimodal_index = (pc_bits & ((1 << self.cfg.base_bits) - 1)) as usize;
-        let bimodal_pred = self.bimodal[bimodal_index] >= 2;
-
-        let mut indices = [0u16; MAX_TAGGED_TABLES];
-        let mut provider = None;
-        let mut provider_index = 0;
-        let mut alt: Option<bool> = None;
-        let same_width = self.cfg.tag_width == self.cfg.tagged_bits;
-        // Scan longest history first. The history is masked and folded
-        // once per table (the index fold doubles as the first tag fold
-        // in the default geometry); tags are only folded for valid
-        // entries, exactly as the tag comparison needs them.
-        for t in (0..self.tables.len()).rev() {
-            let table = &self.tables[t];
-            let h = MaskedHist::new(hist, table.hist_len);
-            let f_idx = h.fold(self.cfg.tagged_bits);
-            let idx = ((pc_bits ^ (pc_bits >> (self.cfg.tagged_bits as u64 + t as u64)) ^ f_idx)
-                & table.index_mask) as usize;
-            indices[t] = idx as u16;
-            let entry = table.entries[idx];
-            if entry.valid() {
-                let f1 = if same_width {
-                    f_idx
-                } else {
-                    h.fold(self.cfg.tag_width)
-                };
-                let f2 = h.fold(self.cfg.tag_width.saturating_sub(1)) << 1;
-                let tag = ((pc_bits ^ f1 ^ f2) as u16) & self.tag_mask;
-                if entry.tag() == tag {
-                    if provider.is_none() {
-                        provider = Some(t);
-                        provider_index = idx;
-                    } else {
-                        alt = Some(entry.ctr() >= 0);
-                        break;
-                    }
-                }
-            }
-        }
-        self.finish_lookup(
-            bimodal_index,
-            bimodal_pred,
-            provider,
-            provider_index,
-            alt,
-            indices,
-        )
-    }
-
-    /// Fold-scratch fast path of [`Tage::lookup`]: every fold is a
-    /// register read, so all table indices, tags, and entry loads are
-    /// computed up front with no cross-table dependencies (the serial
-    /// scan's load→compare→branch chain is what dominates lookup cost),
-    /// then a compare-only scan picks provider and alternate. Produces
-    /// bit-identical lookups: the only difference from the classic scan
-    /// is that `indices` below the early break are filled with their
-    /// true values instead of staying zero, and the update path never
-    /// reads those slots (allocation only touches tables above the
-    /// provider).
-    fn lookup_scratch(&self, pc: Addr, regs: &[[u64; 3]; MAX_TAGGED_TABLES]) -> Lookup {
+    /// Looks `pc` up under the history folded into `regs` (one register
+    /// set of a [`FoldState`]). Every fold is a register read, so all
+    /// table indices, tags, and entry loads are computed up front with
+    /// no cross-table dependencies (a serial scan's
+    /// load→compare→branch chain is what dominates lookup cost), then a
+    /// compare-only scan, longest history first, picks provider and
+    /// alternate.
+    fn lookup(&self, pc: Addr, regs: &[[u64; 3]; MAX_TAGGED_TABLES]) -> Lookup {
         let pc_bits = pc.get() >> 2;
         let bimodal_index = (pc_bits & ((1 << self.cfg.base_bits) - 1)) as usize;
         let bimodal_pred = self.bimodal[bimodal_index] >= 2;
@@ -605,73 +473,36 @@ impl Tage {
         }
 
         let mut provider = None;
-        let mut provider_index = 0;
         let mut alt: Option<bool> = None;
         for t in (0..n).rev() {
             if entries[t].valid() && entries[t].tag() == tags[t] {
                 if provider.is_none() {
                     provider = Some(t);
-                    provider_index = indices[t] as usize;
                 } else {
                     alt = Some(entries[t].ctr() >= 0);
                     break;
                 }
             }
         }
-        self.finish_lookup(
-            bimodal_index,
-            bimodal_pred,
-            provider,
-            provider_index,
-            alt,
-            indices,
-        )
-    }
-
-    fn finish_lookup(
-        &self,
-        bimodal_index: usize,
-        bimodal_pred: bool,
-        provider: Option<usize>,
-        provider_index: usize,
-        alt: Option<bool>,
-        indices: [u16; MAX_TAGGED_TABLES],
-    ) -> Lookup {
-        let alt_pred = alt.unwrap_or(bimodal_pred);
-        match provider {
+        let (provider_pred, provider_weak) = match provider {
             Some(t) => {
-                let e = self.tables[t].entries[provider_index];
-                Lookup {
-                    provider: Some(t),
-                    provider_index,
-                    provider_pred: e.ctr() >= 0,
-                    provider_weak: e.ctr() == 0 || e.ctr() == -1,
-                    alt_pred,
-                    bimodal_index,
-                    indices,
-                }
+                let ctr = entries[t].ctr();
+                (ctr >= 0, ctr == 0 || ctr == -1)
             }
-            None => Lookup {
-                provider: None,
-                provider_index: 0,
-                provider_pred: bimodal_pred,
-                provider_weak: false,
-                alt_pred: bimodal_pred,
-                bimodal_index,
-                indices,
-            },
+            None => (bimodal_pred, false),
+        };
+        Lookup {
+            provider,
+            provider_pred,
+            provider_weak,
+            alt_pred: alt.unwrap_or(bimodal_pred),
+            bimodal_index,
+            indices,
+            tags,
         }
     }
 
-    fn update(
-        &mut self,
-        pc: Addr,
-        taken: bool,
-        l: &Lookup,
-        final_pred: bool,
-        hist: u128,
-        scratch: Option<&[[u64; 3]; MAX_TAGGED_TABLES]>,
-    ) {
+    fn update(&mut self, taken: bool, l: &Lookup, final_pred: bool) {
         self.updates += 1;
         if self.updates.is_multiple_of(U_RESET_PERIOD) {
             for table in &mut self.tables {
@@ -691,7 +522,7 @@ impl Tage {
                         self.use_alt += 1;
                     }
                 }
-                let entry = &mut self.tables[t].entries[l.provider_index];
+                let entry = &mut self.tables[t].entries[l.indices[t] as usize];
                 if l.provider_pred != l.alt_pred {
                     if l.provider_pred == taken {
                         entry.set_u((entry.u() + 1).min(U_MAX));
@@ -709,13 +540,10 @@ impl Tage {
             None => self.bump_bimodal(l.bimodal_index, taken),
         }
 
-        // Allocate a longer-history entry on a misprediction. Table
-        // indices come from the lookup's cache (the allocation range —
-        // tables above the provider — is always populated); only the
-        // picked table's tag is folded fresh.
-        let provider_rank = l.provider.map_or(0, |t| t + 1);
-        if final_pred != taken && provider_rank < self.tables.len() {
-            let start = l.provider.map_or(0, |t| t + 1);
+        // Allocate a longer-history entry on a misprediction, at the
+        // index and with the tag the lookup already computed.
+        let start = l.provider.map_or(0, |t| t + 1);
+        if final_pred != taken && start < self.tables.len() {
             let mut candidates = [0usize; MAX_TAGGED_TABLES];
             let mut found = 0usize;
             for t in start..self.tables.len() {
@@ -737,9 +565,8 @@ impl Tage {
                 } else {
                     candidates[1 + self.lfsr_bits(8) as usize % (found - 1)]
                 };
-                let tag = self.tag(pick, pc.get() >> 2, hist, scratch);
                 self.tables[pick].entries[l.indices[pick] as usize] =
-                    TaggedEntry::new(true, tag, if taken { 0 } else { -1 }, 0);
+                    TaggedEntry::new(true, l.tags[pick], if taken { 0 } else { -1 }, 0);
             }
         }
     }
@@ -751,37 +578,6 @@ impl Tage {
         } else {
             *c = c.saturating_sub(1);
         }
-    }
-
-    /// Tag of `pc` in table `t` under `hist` — the allocation path's
-    /// one-table fold (the lookup folds tags inline, sharing the index
-    /// fold).
-    fn tag(
-        &self,
-        t: usize,
-        pc_bits: u64,
-        hist: u128,
-        scratch: Option<&[[u64; 3]; MAX_TAGGED_TABLES]>,
-    ) -> u16 {
-        let (f1, f2) = match scratch {
-            // Same-width pushes keep only plane 0 (see `push_folds`).
-            Some(regs) => {
-                let plane1 = if self.cfg.tag_width == self.cfg.tagged_bits {
-                    0
-                } else {
-                    1
-                };
-                (regs[t][plane1], regs[t][2] << 1)
-            }
-            None => {
-                let h = MaskedHist::new(hist, self.tables[t].hist_len);
-                (
-                    h.fold(self.cfg.tag_width),
-                    h.fold(self.cfg.tag_width.saturating_sub(1)) << 1,
-                )
-            }
-        };
-        ((pc_bits ^ f1 ^ f2) as u16) & self.tag_mask
     }
 
     fn lfsr_bits(&mut self, bits: u32) -> u32 {
@@ -805,76 +601,10 @@ fn geometric_length(cfg: &TageConfig, t: u32) -> u32 {
     ((cfg.min_history as f64 * ratio.powf(exp)).round() as u32).min(127)
 }
 
-/// The low `len` bits of a history register, pre-masked and pre-split
-/// so folding runs in 64-bit arithmetic wherever the length allows —
-/// `u128` shifts cost several instructions each, and folding is the
-/// single hottest operation in the simulator (3 folds x 6 tables per
-/// TAGE lookup, 2+ lookups per conditional branch).
-#[derive(Clone, Copy)]
-enum MaskedHist {
-    /// History of 64 bits or fewer: pure `u64` folding.
-    Small(u64, u32),
-    /// Longer history: folded with `u128` chunk extraction.
-    Large(u128, u32),
-}
-
-impl MaskedHist {
-    #[inline]
-    fn new(hist: u128, len: u32) -> Self {
-        if len <= 64 {
-            let mask = if len == 64 {
-                u64::MAX
-            } else {
-                (1u64 << len) - 1
-            };
-            MaskedHist::Small(hist as u64 & mask, len)
-        } else if len >= 128 {
-            MaskedHist::Large(hist, 128)
-        } else {
-            MaskedHist::Large(hist & ((1u128 << len) - 1), len)
-        }
-    }
-
-    /// XOR-folds the masked history into `bits` bits. Bit-for-bit
-    /// identical to the chunked shift loop of the pre-refactor
-    /// implementation (kept as `fold_reference` for the parity tests):
-    /// every `bits`-wide chunk position over the masked length is
-    /// XORed, and all-zero high chunks contribute nothing, exactly as
-    /// the original `while h != 0` termination. Extracting each chunk
-    /// from the *original* value breaks the original loop's serial
-    /// shift dependency — the chunks fold in instruction-level
-    /// parallel, which matters enormously for a 127-bit history folded
-    /// three times per table per prediction.
-    #[inline]
-    fn fold(self, bits: u32) -> u64 {
-        if bits == 0 {
-            return 0;
-        }
-        let mask = (1u64 << bits) - 1;
-        let mut acc = 0u64;
-        match self {
-            MaskedHist::Small(h, len) => {
-                let mut sh = 0;
-                while sh < len {
-                    acc ^= (h >> sh) & mask;
-                    sh += bits;
-                }
-            }
-            MaskedHist::Large(h, len) => {
-                let mut sh = 0;
-                while sh < len {
-                    acc ^= (h >> sh) as u64 & mask;
-                    sh += bits;
-                }
-            }
-        }
-        acc
-    }
-}
-
-/// The original from-scratch fold, kept as the semantic reference the
-/// optimized [`MaskedHist::fold`] is checked against.
-#[cfg(test)]
+/// XOR-folds the low `len` bits of `hist` into `bits` bits — the one
+/// from-scratch fold. It builds a register set for an arbitrary history
+/// (see [`init_folds`]); the tests check the incremental pushes against
+/// it, and their unpacked reference model folds with it.
 fn fold_reference(hist: u128, len: u32, bits: u32) -> u64 {
     if bits == 0 {
         return 0;
@@ -913,7 +643,7 @@ mod tests {
 
     /// A faithful unpacked re-implementation of the predictor —
     /// struct-of-fields entries, from-scratch reference folds, no
-    /// incremental scratch registers — kept as the semantic baseline
+    /// incremental fold registers — kept as the semantic baseline
     /// the packed, fold-cached `Tage` is driven against.
     mod reference {
         use super::*;
@@ -1271,7 +1001,7 @@ mod tests {
     #[test]
     fn fold_is_stable_and_bounded() {
         let h = 0xDEAD_BEEF_CAFE_BABE_u128;
-        let fold = |h, len, bits| MaskedHist::new(h, len).fold(bits);
+        let fold = fold_reference;
         let a = fold(h, 33, 9);
         assert_eq!(a, fold(h, 33, 9));
         assert!(a < 512);
@@ -1281,33 +1011,6 @@ mod tests {
             "history changes the fold"
         );
         assert_eq!(fold(h, 0, 9), 0);
-    }
-
-    #[test]
-    fn optimized_fold_matches_reference_on_edge_geometries() {
-        // The split 64-bit fast path must be bit-for-bit the reference
-        // fold at every boundary the geometry can hit: lengths at and
-        // around the u64 split, chunk widths that do and don't divide
-        // the length, and the zero-width tag fold.
-        let hists = [
-            0u128,
-            1,
-            u64::MAX as u128,
-            (u64::MAX as u128) + 1,
-            u128::MAX,
-            0xDEAD_BEEF_CAFE_BABE_0123_4567_89AB_CDEF,
-        ];
-        for &h in &hists {
-            for len in [0, 1, 5, 9, 10, 19, 36, 63, 64, 65, 68, 127, 128] {
-                for bits in [0, 1, 8, 9, 11, 16] {
-                    assert_eq!(
-                        MaskedHist::new(h, len).fold(bits),
-                        fold_reference(h, len, bits),
-                        "fold mismatch at hist={h:#x} len={len} bits={bits}",
-                    );
-                }
-            }
-        }
     }
 
     fn splitmix(seed: u64) -> impl FnMut() -> u64 {
@@ -1349,31 +1052,6 @@ mod tests {
                     assert_eq!(got[1], want[1], "table {t} plane 1");
                 }
             }
-        }
-    }
-
-    #[test]
-    fn optimized_fold_matches_reference_on_random_inputs() {
-        // Deterministic pseudo-random sweep (SplitMix64 stream) across
-        // the whole input space — the fast path has no excuse to differ
-        // anywhere.
-        let mut s = 0x5407_u64;
-        let mut next = move || {
-            s = s.wrapping_add(0x9E3779B97F4A7C15);
-            let mut z = s;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-            z ^ (z >> 31)
-        };
-        for _ in 0..20_000 {
-            let h = ((next() as u128) << 64) | next() as u128;
-            let len = (next() % 130) as u32;
-            let bits = (next() % 17) as u32;
-            assert_eq!(
-                MaskedHist::new(h, len).fold(bits),
-                fold_reference(h, len, bits),
-                "fold mismatch at hist={h:#x} len={len} bits={bits}",
-            );
         }
     }
 
@@ -1422,90 +1100,35 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(8))]
 
-        /// Drive two predictors — one with fold scratch enabled at step
-        /// `enable_at`, one without — through the decoupled-front-end
-        /// idiom: predict under spec history, snapshot it, retire under
-        /// the snapshot, with periodic redirects repairing spec from
-        /// retired. Every prediction and every retire-time result must
-        /// agree. Each case enables either at step 0, the configuration
-        /// every simulator runs (scratch armed at construction), or,
-        /// with equal odds, mid-stream from a warmed classic state.
-        #[test]
-        fn fold_scratch_is_bit_identical_to_classic_folding(
-            enable_at in prop_oneof![0u32..1, 1u32..2_000],
-        ) {
-            let mut classic = tage();
-            let mut scratch = tage();
-            let mut next = splitmix(0xBEEF);
-            let mut pending: Vec<(Addr, bool, u128)> = Vec::new();
-            for step in 0..30_000u32 {
-                if step == enable_at {
-                    scratch.enable_fold_scratch();
-                }
-                let pc = Addr::new(0x1000 + (next() % 512) * 0x10);
-                let taken = !next().is_multiple_of(3);
-                prop_assert_eq!(classic.predict(pc), scratch.predict(pc), "step {step}");
-                pending.push((pc, taken, classic.spec_snapshot()));
-                prop_assert_eq!(classic.spec_snapshot(), scratch.spec_snapshot());
-                classic.push_spec(taken);
-                scratch.push_spec(taken);
-                // Retire with a lag, as the pipeline does.
-                if pending.len() > 4 {
-                    let (rpc, rtaken, snap) = pending.remove(0);
-                    prop_assert_eq!(
-                        classic.retire_with(rpc, rtaken, snap),
-                        scratch.retire_with(rpc, rtaken, snap),
-                        "retire at step {step}"
-                    );
-                }
-                if next().is_multiple_of(64) {
-                    // A redirect drops the in-flight window, retires the
-                    // oldest under a stale snapshot (exercising the
-                    // fallback), and repairs spec history.
-                    if let Some((rpc, rtaken, snap)) = pending.pop() {
-                        prop_assert_eq!(
-                            classic.retire_with(rpc, rtaken, snap),
-                            scratch.retire_with(rpc, rtaken, snap),
-                        );
-                    }
-                    pending.clear();
-                    classic.redirect();
-                    scratch.redirect();
-                }
-            }
-            prop_assert_eq!(classic.retired_hist, scratch.retired_hist);
-            prop_assert_eq!(classic.spec_hist, scratch.spec_hist);
-            for pc in (0..256u64).map(|i| Addr::new(0x2000 + i * 0x20)) {
-                prop_assert_eq!(classic.predict(pc), scratch.predict(pc));
-            }
-        }
-
-        /// The packed predictor — fold scratch enabled at step
-        /// `enable_at`, so the whole optimized stack is under test —
-        /// must be bit-identical to the unpacked, from-scratch-folding
-        /// reference across random (workload, seed) pairs. As above,
-        /// each case enables either at step 0, the production
-        /// configuration, or mid-stream. The "workload" here is the branch-stream shape: working-set
-        /// size, taken bias, and the redirect/lag pattern of a
-        /// decoupled front end.
+        /// The packed predictor must be bit-identical to the unpacked,
+        /// from-scratch-folding reference across random (workload,
+        /// seed) pairs, driven through the decoupled-front-end idiom:
+        /// predict under spec history, snapshot it, retire under the
+        /// snapshot with a lag, with periodic redirects repairing spec
+        /// from retired. The "workload" is the branch-stream shape:
+        /// working-set size, taken bias, and stream length. Half the
+        /// cases take one fixed long shape (30k steps over 512 PCs, one
+        /// in three not taken) with a random seed.
         #[test]
         fn packed_tage_matches_unpacked_reference(
-            seed in 1u64..1 << 48,
-            pc_count in 16u64..512,
-            bias in 2u64..6,
-            enable_at in prop_oneof![0u32..1, 1u32..2_000],
+            shape in prop_oneof![
+                (1u64..=(1 << 48) - 1, 16u64..=511, 2u64..=5, 8_000u32..=8_000),
+                (1u64..=(1 << 48) - 1, 512u64..=512, 3u64..=3, 30_000u32..=30_000),
+            ],
         ) {
+            let (seed, pc_count, bias, steps) = shape;
             let mut packed = tage();
             let mut unpacked = reference::RefTage::new(TageConfig::default());
             let mut next = splitmix(seed);
             let mut pending: Vec<(Addr, bool, u128)> = Vec::new();
-            for step in 0..8_000u32 {
-                if step == enable_at {
-                    packed.enable_fold_scratch();
-                }
+            // Retires under a snapshot other than the retired history:
+            // the lookups that fold from scratch instead of reading the
+            // retired registers.
+            let mut off_history = 0u32;
+            for step in 0..steps {
                 let pc = Addr::new(0x1000 + (next() % pc_count) * 0x10);
                 let taken = !next().is_multiple_of(bias);
-                prop_assert_eq!(packed.predict(pc), unpacked.predict(pc));
+                prop_assert_eq!(packed.predict(pc), unpacked.predict(pc), "step {step}");
                 prop_assert_eq!(packed.spec_snapshot(), unpacked.spec_snapshot());
                 pending.push((pc, taken, packed.spec_snapshot()));
                 packed.push_spec(taken);
@@ -1513,6 +1136,7 @@ mod tests {
                 // Retire with a lag, as the pipeline does.
                 if pending.len() > 4 {
                     let (rpc, rtaken, snap) = pending.remove(0);
+                    off_history += u32::from(snap != packed.retired_hist);
                     prop_assert_eq!(
                         packed.retire_with(rpc, rtaken, snap),
                         unpacked.retire_with(rpc, rtaken, snap)
@@ -1520,9 +1144,10 @@ mod tests {
                 }
                 if next().is_multiple_of(64) {
                     // Redirect: retire the newest under a stale snapshot
-                    // (exercising the scratch fallback), drop the rest,
-                    // repair spec history.
+                    // (exercising the from-scratch fallback), drop the
+                    // rest, repair spec history.
                     if let Some((rpc, rtaken, snap)) = pending.pop() {
+                        off_history += u32::from(snap != packed.retired_hist);
                         prop_assert_eq!(
                             packed.retire_with(rpc, rtaken, snap),
                             unpacked.retire_with(rpc, rtaken, snap)
@@ -1533,6 +1158,7 @@ mod tests {
                     unpacked.redirect();
                 }
             }
+            prop_assert!(off_history > 0, "no retire took the from-scratch fallback");
             prop_assert_eq!(packed.retired_hist, unpacked.retired_hist);
             for pc in (0..pc_count).map(|i| Addr::new(0x9000 + i * 0x20)) {
                 prop_assert_eq!(packed.predict(pc), unpacked.predict(pc));
