@@ -26,7 +26,7 @@ const SIGINT: i32 = 2;
 const SIGTERM: i32 = 15;
 
 extern "C" fn on_signal(_sig: i32) {
-    // Async-signal-safe: a single atomic store; the accept loop polls.
+    // Async-signal-safe: a single atomic store, which the server's stop watcher polls.
     SHUTDOWN.store(true, Ordering::SeqCst);
 }
 

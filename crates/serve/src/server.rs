@@ -2,17 +2,20 @@
 //! [`protocol`](crate::protocol), and forwards jobs to an
 //! [`ExperimentService`].
 //!
-//! The accept loop polls a shutdown flag between connections (the
-//! listener runs non-blocking with a short sleep), so a signal
-//! delivered to the daemon stops new connections promptly while the
+//! The listener blocks in `accept`, so a connection is taken the moment
+//! it arrives. Shutdown is a flag: a watcher thread checks it every
+//! `ACCEPT_POLL` and, once it is set, connects to the listener to
+//! wake the blocked `accept`. A signal delivered to the daemon thus
+//! stops new connections within about one poll period, while the
 //! service layer finishes the in-flight cell and flushes its
 //! checkpoint. One connection carries one job; per-connection handler
 //! threads stream progress as the worker produces it.
 
 use std::io::{self, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crate::protocol::{
@@ -21,7 +24,9 @@ use crate::protocol::{
 };
 use crate::service::{ExperimentService, JobSpec, JobState};
 
-/// How often the accept loop re-checks the shutdown flag.
+/// How often the stop watcher re-checks the shutdown flag (and retries
+/// its wake-up connection). Bounds how long a drain takes to start; no
+/// connection waits on it.
 const ACCEPT_POLL: Duration = Duration::from_millis(25);
 
 /// A bound TCP server over an experiment service.
@@ -35,12 +40,11 @@ impl Server {
     /// bench smoke do).
     pub fn bind(service: Arc<ExperimentService>, addr: &str) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         Ok(Server { listener, service })
     }
 
     /// The bound address, e.g. to print or to hand to a client.
-    pub fn local_addr(&self) -> io::Result<std::net::SocketAddr> {
+    pub fn local_addr(&self) -> io::Result<SocketAddr> {
         self.listener.local_addr()
     }
 
@@ -48,28 +52,76 @@ impl Server {
     /// shuts the service down gracefully (in-flight cell completes and
     /// persists), and joins the connection handlers.
     pub fn run_until(&self, stop: &AtomicBool) {
-        let mut handlers = Vec::new();
-        while !stop.load(Ordering::SeqCst) {
-            match self.listener.accept() {
-                Ok((conn, _peer)) => {
-                    let service = Arc::clone(&self.service);
-                    handlers.push(std::thread::spawn(move || {
-                        handle_connection(conn, &service)
-                    }));
+        let accepting = AtomicBool::new(true);
+        let handlers = std::thread::scope(|scope| {
+            let mut handlers = Vec::new();
+            let watcher = scope.spawn(|| self.wake_on_stop(stop, &accepting));
+            loop {
+                let accepted = self.listener.accept();
+                // Whatever woke `accept` once `stop` is set — the
+                // watcher's connection or a late client — ends the loop.
+                if stop.load(Ordering::SeqCst) {
+                    break;
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(ACCEPT_POLL);
+                match accepted {
+                    Ok((conn, _peer)) => {
+                        let service = Arc::clone(&self.service);
+                        handlers.push(std::thread::spawn(move || {
+                            handle_connection(conn, &service)
+                        }));
+                    }
+                    Err(e) => {
+                        eprintln!("fe-serve: accept failed: {e}");
+                        // Back off so a lasting failure (out of file
+                        // descriptors) does not spin the loop.
+                        std::thread::sleep(ACCEPT_POLL);
+                    }
                 }
-                Err(e) => {
-                    eprintln!("fe-serve: accept failed: {e}");
-                    std::thread::sleep(ACCEPT_POLL);
+                let (finished, running) = handlers.into_iter().partition(JoinHandle::is_finished);
+                handlers = running;
+                join_handlers(finished);
+            }
+            accepting.store(false, Ordering::SeqCst);
+            watcher.thread().unpark();
+            handlers
+        });
+        self.service.shutdown();
+        join_handlers(handlers);
+    }
+
+    /// Until the accept loop exits, checks `stop` every [`ACCEPT_POLL`];
+    /// once it is set, connects to the listener so the blocked `accept`
+    /// returns, retrying each period in case a connect fails.
+    fn wake_on_stop(&self, stop: &AtomicBool, accepting: &AtomicBool) {
+        while accepting.load(Ordering::SeqCst) {
+            if stop.load(Ordering::SeqCst) {
+                if let Ok(addr) = self.listener.local_addr() {
+                    let _ = TcpStream::connect_timeout(&wake_addr(addr), ACCEPT_POLL);
                 }
             }
-            handlers.retain(|h| !h.is_finished());
+            std::thread::park_timeout(ACCEPT_POLL);
         }
-        self.service.shutdown();
-        for handler in handlers {
-            let _ = handler.join();
+    }
+}
+
+/// Where to connect to reach a listener bound to `bound`: an unspecified
+/// IP (`0.0.0.0`, `[::]`) is not a destination, so it maps to the
+/// loopback address of its family.
+fn wake_addr(mut bound: SocketAddr) -> SocketAddr {
+    if bound.ip().is_unspecified() {
+        bound.set_ip(match bound {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    bound
+}
+
+/// Joins connection handlers, reporting any that panicked.
+fn join_handlers(handlers: Vec<JoinHandle<()>>) {
+    for handler in handlers {
+        if handler.join().is_err() {
+            eprintln!("fe-serve: connection handler panicked");
         }
     }
 }
@@ -115,5 +167,19 @@ fn try_handle(conn: &mut TcpStream, service: &ExperimentService) -> Result<(), S
         Some(JobState::Queued | JobState::Running) | None => {
             Err("job vanished mid-run (service shutting down?)".into())
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn wake_addr_maps_unspecified_ips_to_loopback() {
+        let wake = |a: &str| wake_addr(a.parse().unwrap()).to_string();
+        assert_eq!(wake("0.0.0.0:7407"), "127.0.0.1:7407");
+        assert_eq!(wake("[::]:7407"), "[::1]:7407");
+        assert_eq!(wake("192.0.2.7:7407"), "192.0.2.7:7407");
+        assert_eq!(wake("[2001:db8::1]:7407"), "[2001:db8::1]:7407");
     }
 }

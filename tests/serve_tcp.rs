@@ -1,13 +1,10 @@
-//! TCP protocol round trip against a live `fe-serve` daemon core:
-//! a repeated submission must be a 100% cache hit with a report
-//! byte-identical to the computed one.
-//!
-//! Lives in its own file (= its own test process) so its sweeps cannot
-//! race the process-global counter deltas asserted in
-//! `serve_service.rs`.
+//! `fe-serve` over TCP against a live daemon core: a repeated
+//! submission must be a 100% cache hit with a report byte-identical to
+//! the computed one, and an idle server must stop when asked.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
 
 use fe_serve::{submit_job, ExperimentService, JobSpec, JobWorkload, Server};
 use fe_sim::{RunLength, SchemeSpec};
@@ -67,4 +64,33 @@ fn tcp_round_trip_serves_second_submission_from_cache() {
     stop.store(true, Ordering::SeqCst);
     server_thread.join().expect("server drains");
     let _ = std::fs::remove_dir_all(&root);
+}
+
+/// The listener blocks in `accept`, so with no client ever connecting
+/// only the stop watcher's wake-up connection lets `run_until` return —
+/// on a wildcard bind too, where it must connect to loopback instead.
+#[test]
+fn run_until_returns_on_stop_with_no_client() {
+    for (tag, addr) in [("idle-v4", "127.0.0.1:0"), ("idle-any", "0.0.0.0:0")] {
+        let root = tmp_root(tag);
+        let service = Arc::new(ExperimentService::open(&root).expect("opens"));
+        let server = Server::bind(service, addr).expect("binds");
+        let stop = Arc::new(AtomicBool::new(false));
+        let (returned, on_return) = mpsc::channel();
+        {
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                server.run_until(&stop);
+                let _ = returned.send(());
+            });
+        }
+        // Let the server settle into its blocking accept first.
+        std::thread::sleep(Duration::from_millis(100));
+        stop.store(true, Ordering::SeqCst);
+        assert!(
+            on_return.recv_timeout(Duration::from_secs(10)).is_ok(),
+            "run_until on {addr} did not return after stop"
+        );
+        let _ = std::fs::remove_dir_all(&root);
+    }
 }
