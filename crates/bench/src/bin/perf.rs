@@ -14,37 +14,33 @@
 //!   pipeline directly.
 //! * `replay` — trace-driven: the same stream decoded from an
 //!   `fe-trace` recording (recorded once per workload, untimed), one
-//!   cell at a time. This is the one-cell reference the batch speedup
-//!   is judged against; it runs the same driver and accelerations, so
-//!   the ratio isolates what batching adds.
+//!   cell at a time — how every full-detail sweep cell runs.
 //! * `sampled` — interval sampling with functional warming over the
 //!   recorded trace (the paper-scale mode). Its MIPS counts *covered*
 //!   instructions — skip + warm + detail — which is precisely why
 //!   sampling exists.
-//! * `batch` — the shared-decode batch engine: one pass over the
-//!   recording drives every scheme's pipeline in lockstep. Per-cell
+//! * `batch-sampled` — the batch engine in sampled mode: the
+//!   workload's cells share one initial functional warm. Per-cell
 //!   numbers are *effective* MIPS (the group's wall clock split evenly
-//!   across its cells), so the batch column is directly comparable to
-//!   the one-cell `replay` column for the same cell.
-//! * `batch-sampled` — the batch engine in sampled mode, against the
-//!   one-cell `sampled` column.
+//!   across its cells), so the column is directly comparable to the
+//!   one-cell `sampled` column for the same cell.
 //!
 //! Wall-clock numbers live only in `BENCH_perf.json`. Deterministic
 //! sweep reports (`BENCH_fig*.json`, the pinned engine fixture) carry
 //! no timing fields, so this harness can run anywhere without
 //! perturbing byte-identical report diffs. As a self-check, the harness
-//! asserts that `full`, `replay`, and `batch` produce bit-identical
-//! statistics (and `sampled` vs `batch-sampled` likewise).
+//! asserts that `full` and `replay` produce bit-identical statistics
+//! (and `sampled` vs `batch-sampled` likewise).
 //!
 //! Knobs beyond the standard set (`SHOTGUN_INSTRS`/`_WARMUP`/`_SCALE`,
 //! `SHOTGUN_JSON_DIR`, `SHOTGUN_SAMPLING*`):
 //!
 //! * `SHOTGUN_PERF_MIN_MIPS=<x>` — exit non-zero when the gated MIPS
 //!   pool falls below `x` (the CI regression floor). The gate prefers
-//!   the `batch` pool — the throughput sweeps actually run at — and
-//!   falls back to `full`, then to the first enabled mode.
-//! * `SHOTGUN_PERF_MODES=full,replay,sampled,batch,batch-sampled` —
-//!   subset of modes to run.
+//!   the `replay` pool — the throughput full-detail sweeps actually run
+//!   at — and falls back to `full`, then to the first enabled mode.
+//! * `SHOTGUN_PERF_MODES=full,replay,sampled,batch-sampled` — subset
+//!   of modes to run.
 
 use std::time::Instant;
 
@@ -53,7 +49,7 @@ use fe_cfg::WorkloadSpec;
 use fe_model::SimStats;
 use fe_sim::json::Json;
 use fe_sim::{
-    run_scheme, run_scheme_replayed, run_scheme_sampled_replayed, run_schemes_batch_replayed,
+    run_scheme, run_scheme_replayed, run_scheme_sampled_replayed,
     run_schemes_batch_sampled_replayed, RunLength, SampledStats, SamplingSpec, SchemeSpec,
 };
 use fe_trace::Trace;
@@ -77,7 +73,7 @@ fn schemes() -> Vec<SchemeSpec> {
     ]
 }
 
-const ALL_MODES: [&str; 5] = ["full", "replay", "sampled", "batch", "batch-sampled"];
+const ALL_MODES: [&str; 4] = ["full", "replay", "sampled", "batch-sampled"];
 
 fn enabled_modes() -> Vec<String> {
     std::env::var("SHOTGUN_PERF_MODES")
@@ -130,10 +126,10 @@ fn main() {
         // Record once (untimed): every trace-driven mode shares it.
         let trace = (modes.iter().any(|m| m != "full"))
             .then(|| Trace::record(&program, SEED, len.trace_instrs(&machine)));
-        let mut replay_stats: Vec<Option<SimStats>> = vec![None; specs.len()];
         let mut sampled_stats: Vec<Option<SampledStats>> = vec![None; specs.len()];
         for (si, spec) in specs.iter().enumerate() {
             let mut full_stats: Option<SimStats> = None;
+            let mut replay_stats: Option<SimStats> = None;
             for mode in &modes {
                 let t0 = Instant::now();
                 match mode.as_str() {
@@ -141,7 +137,7 @@ fn main() {
                         full_stats = Some(run_scheme(&program, spec, &machine, len, SEED));
                     }
                     "replay" => {
-                        replay_stats[si] = Some(run_scheme_replayed(
+                        replay_stats = Some(run_scheme_replayed(
                             &program,
                             trace.as_ref().expect("trace recorded"),
                             spec,
@@ -166,7 +162,7 @@ fn main() {
                             SEED,
                         ));
                     }
-                    // Batch modes run once per workload group, below.
+                    // The batch mode runs once per workload group, below.
                     _ => continue,
                 }
                 let wall = t0.elapsed().as_secs_f64();
@@ -183,7 +179,7 @@ fn main() {
             // execution whenever both modes ran, whatever their order
             // in SHOTGUN_PERF_MODES (wall-clock differs, stats must
             // not).
-            if let (Some(full), Some(replay)) = (&full_stats, &replay_stats[si]) {
+            if let (Some(full), Some(replay)) = (&full_stats, &replay_stats) {
                 assert_eq!(
                     replay,
                     full,
@@ -193,36 +189,9 @@ fn main() {
                 );
             }
         }
-        // The batch engine decodes the recording once and drives every
-        // scheme's pipeline from the shared stream; wall clock covers
-        // the whole group, so each cell is charged an even share.
-        if has("batch") {
-            let trace = trace.as_ref().expect("trace recorded");
-            let t0 = Instant::now();
-            let stats = run_schemes_batch_replayed(&program, trace, &specs, &machine, len, SEED);
-            let wall = t0.elapsed().as_secs_f64() / specs.len() as f64;
-            for (si, spec) in specs.iter().enumerate() {
-                // Self-check: the batch engine must be bit-identical to
-                // the one-cell trace-driven run.
-                if let Some(replay) = &replay_stats[si] {
-                    assert_eq!(
-                        &stats[si],
-                        replay,
-                        "batch diverged from one-cell replay on ({}, {})",
-                        wl.name,
-                        spec.label(),
-                    );
-                }
-                push_cell(
-                    &mut cells,
-                    wl.name.clone(),
-                    spec.label(),
-                    "batch",
-                    covered,
-                    wall,
-                );
-            }
-        }
+        // The batch engine shares one initial warm across the group;
+        // wall clock covers the whole group, so each cell is charged an
+        // even share.
         if has("batch-sampled") && len.measure >= sampling.detail {
             let trace = trace.as_ref().expect("trace recorded");
             let t0 = Instant::now();
@@ -265,23 +234,20 @@ fn main() {
             );
         }
     }
-    if let Some(s) = speedup(&cells, "batch", "replay") {
-        println!("\nbatch speedup over one-cell replay: {s:.2}x");
-    }
     if let Some(s) = speedup(&cells, "batch-sampled", "sampled") {
-        println!("batch-sampled speedup over one-cell sampled: {s:.2}x");
+        println!("\nbatch-sampled speedup over one-cell sampled: {s:.2}x");
     }
 
     write_perf_json(&cells, len, sampling, &modes);
 
-    // The CI regression floor. Gate on the batch pool when it was
-    // measured — sweeps run batched by default, so that is the
-    // throughput that matters — falling back to one-cell full detail,
-    // then to the first enabled mode alone. Pooling sampled
-    // covered-MIPS with timed modes would inflate the gated number far
-    // past any useful floor, hence a single-mode gate.
-    let (gate_mode, gate_mips) = if let Some(pool) = pool_mode(&cells, "batch") {
-        ("batch", Some(pool.mips))
+    // The CI regression floor. Gate on the replay pool when it was
+    // measured — full-detail sweep cells replay their trace one cell at
+    // a time, so that is the throughput that matters — falling back to
+    // live full detail, then to the first enabled mode alone. Pooling
+    // sampled covered-MIPS with timed modes would inflate the gated
+    // number far past any useful floor, hence a single-mode gate.
+    let (gate_mode, gate_mips) = if let Some(pool) = pool_mode(&cells, "replay") {
+        ("replay", Some(pool.mips))
     } else if let Some(pool) = pool_mode(&cells, "full") {
         ("full", Some(pool.mips))
     } else {
@@ -416,11 +382,8 @@ fn write_perf_json(cells: &[PerfCell], len: RunLength, sampling: SamplingSpec, m
             Json::F64(total_instrs as f64 / (total_wall_ms / 1e3) / 1e6),
         ),
         ("full_mips".into(), mode_mips("full")),
-        ("batch_mips".into(), mode_mips("batch")),
-        // What batching adds (shared decode, shared warm) over one-cell
-        // trace-driven runs, full detail. CI asserts a floor on this
-        // field.
-        ("batch_speedup".into(), ratio("batch", "replay")),
+        // What the shared initial warm adds over one-cell sampled runs.
+        // CI asserts a floor on this field.
         (
             "batch_sampled_speedup".into(),
             ratio("batch-sampled", "sampled"),

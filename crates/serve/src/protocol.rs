@@ -16,10 +16,11 @@
 //!
 //! * client → server: `{"type": "submit", "job": <JobSpec>}`
 //! * server → client: `{"type": "accepted", "job_id": N, "cells": N}`
-//!   then one `{"type": "progress", ...}` per completed cell, then
-//!   either `{"type": "report", "job_id": N}` **followed by one frame
-//!   holding the raw SweepReport JSON**, or `{"type": "error",
-//!   "message": ...}` at any point.
+//!   then one `{"type": "progress", "completed": N, "total": N,
+//!   "workload": ..., "scheme": ..., "cached": bool}` per completed
+//!   cell, then either `{"type": "report", "job_id": N}` **followed by
+//!   one frame holding the raw SweepReport JSON**, or `{"type":
+//!   "error", "message": ...}` at any point.
 //!
 //! The report travels in its own frame, as the exact bytes the service
 //! persisted — clients get byte-identical reports whether cells were
@@ -117,21 +118,16 @@ pub fn accepted_message(id: JobId, cells: usize) -> Json {
     ])
 }
 
-/// One completed cell. The `batch_id` key is additive and emitted
-/// only for batched cells, so clients that predate it are unaffected.
+/// One completed cell.
 pub fn progress_message(p: &JobProgress) -> Json {
-    let mut members = vec![
+    Json::Obj(vec![
         ("type".into(), Json::Str("progress".into())),
         ("completed".into(), Json::U64(p.completed as u64)),
         ("total".into(), Json::U64(p.total as u64)),
         ("workload".into(), Json::Str(p.workload.clone())),
         ("scheme".into(), Json::Str(p.scheme.clone())),
         ("cached".into(), Json::Bool(p.cached)),
-    ];
-    if let Some(id) = p.batch_id {
-        members.push(("batch_id".into(), Json::U64(id)));
-    }
-    Json::Obj(members)
+    ])
 }
 
 /// Announces the report frame that follows.
@@ -200,12 +196,6 @@ pub fn submit_job(addr: &str, spec: &JobSpec) -> io::Result<ClientOutcome> {
                         .and_then(|v| v.as_str().map(str::to_string))
                         .map_err(fail)?,
                     cached: matches!(msg.get("cached"), Some(Json::Bool(true))),
-                    // Absent for cached and mix cells and on daemons
-                    // predating the batch engine.
-                    batch_id: match msg.get("batch_id") {
-                        Some(Json::U64(id)) => Some(*id),
-                        _ => None,
-                    },
                 }),
                 "report" => {
                     let Some(raw) = read_frame(&mut conn)? else {

@@ -212,11 +212,6 @@ pub struct JobProgress {
     pub scheme: String,
     /// Served from the result cache instead of simulated.
     pub cached: bool,
-    /// Batch-group id when the cell ran on the sweep's shared-decode
-    /// batch engine (cells of one group share one trace pass); `None`
-    /// for cached and mix cells. Additive — absent on the
-    /// wire for non-batched cells.
-    pub batch_id: Option<u64>,
 }
 
 struct JobTable {
@@ -502,7 +497,6 @@ impl Worker {
                         workload: event.workload.as_str().to_string(),
                         scheme: event.scheme.clone(),
                         cached: event.cached,
-                        batch_id: event.batch_id,
                     });
                 }
             });

@@ -4,14 +4,14 @@
 //! stage-by-stage model and the README's "Simulator pipeline"
 //! diagram) — and the one run driver every run goes through.
 //!
-//! The driver is a resumable state machine (`Phase`): full-detail
-//! runs pass through timed warmup and measurement, sampled runs through
-//! the initial functional warm (or a snapshot restore) and the interval
-//! loop. [`Simulator::run`] and [`Simulator::run_sampled`] set a phase
-//! and advance it to completion; the [batch engine](crate::batch)
-//! advances N cells in bounded turns through the very same steps. Every
-//! tick first tries to skip a provably quiet span, a bit-exact
-//! acceleration that is always on.
+//! The driver is a state machine (`Phase`): full-detail runs pass
+//! through timed warmup and measurement, sampled runs through the
+//! initial functional warm (or a seek past a restored warm) and the
+//! interval loop. [`Simulator::run`] and [`Simulator::run_sampled`] set
+//! a phase and drive it to completion; the [batch engine](crate::batch)
+//! drives each of its cells through the very same steps, one cell after
+//! another. Every tick first tries to skip a provably quiet span, a
+//! bit-exact acceleration that is always on.
 //! [`MultiSimulator`](crate::MultiSimulator) keeps its own per-cycle
 //! lockstep loop (its contexts share memory every cycle) and ticks
 //! through [`Simulator::tick_once`].
@@ -34,8 +34,7 @@ pub use crate::pipeline::{EngineScheme, SchemeKind};
 pub(crate) type SnapshotSlot<'p> = Option<(&'p SnapshotStore, SnapshotKey)>;
 
 /// Where a run is: the warm / measure / interval control flow unrolled
-/// into a resumable state machine, so a run can advance in bounded
-/// turns (see [`Simulator::advance`]).
+/// into a state machine (see [`Simulator::drive`]).
 #[derive(Clone, Copy)]
 pub(crate) enum Phase<'p> {
     /// No run configured, or the run has finished.
@@ -44,20 +43,18 @@ pub(crate) enum Phase<'p> {
     Warmup { until: u64, measure: u64 },
     /// Full detail: measuring until `retired_total` reaches `end`.
     Measure { end: u64 },
-    /// Sampled: initial functional warm, `remaining` instructions to
-    /// go. Chunked against the running remainder, which lands on the
-    /// same block boundary as one whole-length warm. On completion the
-    /// warmed state is put into `snapshot`, when set.
+    /// Sampled: the initial functional warm of `warmup` instructions.
+    /// On completion the warmed state is put into `snapshot`, when set.
     InitWarm {
-        remaining: u64,
+        warmup: u64,
         measure: u64,
         spec: SamplingSpec,
         snapshot: SnapshotSlot<'p>,
     },
-    /// Sampled: a restored snapshot already installed the warmed state;
-    /// fast-forward `remaining` instructions past the warmed prefix.
+    /// Sampled: a restored warm already installed the warmed state;
+    /// fast-forward `warmed` instructions past the warmed prefix.
     Seek {
-        remaining: u64,
+        warmed: u64,
         measure: u64,
         spec: SamplingSpec,
     },
@@ -164,7 +161,7 @@ impl<'p> Simulator<'p> {
     /// far — check [`Self::source_exhausted`] — rather than panicking.
     pub fn run(&mut self, warmup: u64, measure: u64) -> SimStats {
         self.start_full(warmup, measure);
-        self.advance(u64::MAX);
+        self.drive();
         self.measured
             .pop()
             .expect("a finished full-detail run holds its measured window")
@@ -180,57 +177,35 @@ impl<'p> Simulator<'p> {
         };
     }
 
-    /// `true` once the armed run has finished (or none was armed).
-    pub(crate) fn done(&self) -> bool {
-        matches!(self.phase, Phase::Done)
-    }
-
-    /// The driver: advances the armed run until this simulator has
-    /// retired `target` instructions or the run finishes. Pass
-    /// `u64::MAX` to run to completion; the batch engine passes rising
-    /// per-round quotas.
-    pub(crate) fn advance(&mut self, target: u64) {
-        while self.state.retired_total < target {
+    /// The driver: advances the armed run to completion.
+    pub(crate) fn drive(&mut self) {
+        loop {
             match self.phase {
                 Phase::Done => return,
                 Phase::Warmup { until, measure } => {
-                    self.tick_until(until.min(target));
-                    if self.state.retired_total >= until || self.state.stream_ended() {
-                        self.begin_measurement();
-                        // Measure relative to the actual measurement
-                        // start (warmup may overshoot by a partial
-                        // retire-width).
-                        let end = self.state.retired_total + measure;
-                        self.phase = Phase::Measure { end };
-                    }
+                    self.tick_until(until);
+                    self.begin_measurement();
+                    // Measure relative to the actual measurement start
+                    // (warmup may overshoot by a partial retire-width).
+                    let end = self.state.retired_total + measure;
+                    self.phase = Phase::Measure { end };
                 }
                 Phase::Measure { end } => {
-                    self.tick_until(end.min(target));
-                    if self.state.retired_total >= end || self.state.stream_ended() {
-                        let stats = self.finalize();
-                        self.measured.push(stats);
-                        self.finish();
-                    }
+                    self.tick_until(end);
+                    let stats = self.finalize();
+                    self.measured.push(stats);
+                    self.phase = Phase::Done;
                 }
-                Phase::InitWarm { .. } | Phase::Seek { .. } => {
-                    self.init_warm_step(target - self.state.retired_total);
-                }
+                Phase::InitWarm { .. } | Phase::Seek { .. } => self.init_warm(&mut []),
                 Phase::Intervals { end, spec } => {
                     if self.state.retired_total >= end || self.state.stream_ended() {
-                        self.finish();
+                        self.phase = Phase::Done;
                     } else {
                         self.step_interval(end, spec);
                     }
                 }
             }
         }
-    }
-
-    /// Ends the run: the shared window stops holding anything back for
-    /// this simulator.
-    pub(crate) fn finish(&mut self) {
-        self.phase = Phase::Done;
-        self.state.source.release();
     }
 
     /// Ticks until `retired_total` reaches `limit` or the stream ends.

@@ -123,11 +123,6 @@ pub struct ProgressEvent {
     /// Whether the cell was served from the configured [`CellStore`]
     /// instead of being simulated.
     pub cached: bool,
-    /// For a simulated single-workload cell, the id of its
-    /// [batch](crate::batch) group (cells sharing one decode pass share
-    /// the id); `None` for cached and mix cells. Additive: streaming
-    /// clients that predate it see the field as simply absent.
-    pub batch_id: Option<u64>,
 }
 
 type ProgressFn = Box<dyn Fn(&ProgressEvent) + Send + Sync>;
@@ -467,9 +462,9 @@ impl Experiment {
         // Total *cells* — what progress events and `Interrupted` count.
         let total = mix_jobs + workloads.len() * n_schemes;
         // A single-context workload is ONE job covering all its scheme
-        // cells: its uncached cells run as a shared-decode batch (see
-        // the `batch` module) instead of decoding the trace once per
-        // scheme. A mix keeps one job per (mix, scheme).
+        // cells: its uncached cells run one after another as a batch
+        // (see the `batch` module), which shares a sampled sweep's
+        // initial warm. A mix keeps one job per (mix, scheme).
         let jobs = mix_jobs + workloads.len();
 
         // Cache consult: resolve every single-workload cell's content
@@ -528,7 +523,7 @@ impl Experiment {
         // summary when the sweep runs sampled. `None` slots are jobs a
         // set cancel flag kept workers from claiming.
         type CellResult = (SimStats, Option<CellSampling>);
-        let emit = |name: &str, si: usize, was_cached: bool, batch_id: Option<u64>| {
+        let emit = |name: &str, si: usize, was_cached: bool| {
             if let Some(cb) = &progress {
                 cb(&ProgressEvent {
                     completed: completed.fetch_add(1, Ordering::Relaxed) + 1,
@@ -536,7 +531,6 @@ impl Experiment {
                     workload: WorkloadId(name.to_string()),
                     scheme: labels[si].clone(),
                     cached: was_cached,
-                    batch_id,
                 });
             }
         };
@@ -566,7 +560,7 @@ impl Experiment {
                         .into_iter()
                         .map(|c| (c.stats, None))
                         .collect();
-                    emit(&mixes[mi].name, si, false, None);
+                    emit(&mixes[mi].name, si, false);
                     return stats;
                 }
 
@@ -578,32 +572,25 @@ impl Experiment {
                     match &cached[mix_jobs + wi * n_schemes + si] {
                         Some(value) => {
                             cells[si] = Some((value.stats.clone(), value.sampling.clone()));
-                            emit(name, si, true, None);
+                            emit(name, si, true);
                         }
                         None => uncached.push(si),
                     }
                 }
                 if !uncached.is_empty() {
-                    // Every uncached cell of the workload runs in one
-                    // shared-decode batch (a lone cell is a batch of
-                    // one).
                     let trace = traces[wi]
                         .as_ref()
                         .expect("trace recorded for every workload with uncached cells");
-                    let mut batch = BatchSimulator::new(
-                        &programs[wi],
-                        machine.clone(),
-                        trace.replayer(),
-                        seed,
-                        sampling,
-                    );
+                    let mut batch =
+                        BatchSimulator::new(&programs[wi], machine.clone(), trace, seed, sampling);
                     if let Some(store) = snapshots.as_deref() {
-                        batch = batch.with_snapshots(store, fingerprints[wi]);
+                        batch = batch.with_snapshots(store);
                     }
                     for &si in &uncached {
                         batch.add_cell(&schemes[si], len);
                     }
-                    for (&si, mut windows) in uncached.iter().zip(batch.run_windows()) {
+                    batch.run_each(|k, mut windows| {
+                        let si = uncached[k];
                         let cell = match sampling {
                             Some(_) => {
                                 let sampled = SampledStats {
@@ -616,8 +603,8 @@ impl Experiment {
                         };
                         store_cell(mix_jobs + wi * n_schemes + si, &cell);
                         cells[si] = Some(cell);
-                        emit(name, si, false, Some(job as u64));
-                    }
+                        emit(name, si, false);
+                    });
                 }
                 cells
                     .into_iter()
@@ -704,9 +691,9 @@ impl Experiment {
 /// it is at least as long as this sweep needs — longer recordings
 /// replay as a prefix, so shortening a sweep never invalidates the
 /// cache. Stores are reconstructed to flat traces here (lossless, see
-/// [`fe_trace::TraceStore::to_trace`]) so every downstream path —
-/// batch, sampled, snapshot, content-addressed cache — works over an
-/// ingested workload unchanged.
+/// [`fe_trace::TraceStore::to_trace`]) so every downstream path — each
+/// cell's own replayer, sampled, snapshot, content-addressed cache —
+/// works over an ingested workload unchanged.
 fn obtain_trace(
     program: &Program,
     seed: u64,

@@ -20,11 +20,13 @@
 //! [`run_scheme_sampled`]/[`run_scheme_sampled_replayed`] wrappers
 //! remain for single measurements.
 //!
-//! Every run takes the same path: a sweep workload's uncached cells
-//! and each one-cell wrapper run as one [`BatchSimulator`] batch (a
-//! batch of one for a lone cell), whose cells advance through the one
-//! run driver on [`Simulator`] (see the [`engine`] module) with
-//! quiet-span skipping always on.
+//! Every run takes the same path: one [`Simulator`] per cell, reading
+//! its own source and advancing through the one run driver (see the
+//! [`engine`] module) with quiet-span skipping always on. A sweep
+//! workload's uncached cells run one after another as a
+//! [`BatchSimulator`] over the recorded trace, which shares only a
+//! sampled sweep's initial warm; each one-cell wrapper builds its one
+//! simulator directly.
 //!
 //! ```no_run
 //! use fe_cfg::workloads;

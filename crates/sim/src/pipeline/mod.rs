@@ -50,7 +50,7 @@ use std::collections::VecDeque;
 
 use fe_baselines::{Boomerang, Confluence, Fdip, NoPrefetch};
 use fe_cfg::Program;
-use fe_model::{Addr, LineAddr, MachineConfig, RetiredBlock, SimStats};
+use fe_model::{Addr, BlockSource, LineAddr, MachineConfig, RetiredBlock, SimStats};
 use fe_uarch::scheme::{BpuOutcome, ControlFlowDelivery, FrontEndCtx, PredRecord};
 use fe_uarch::{BoundedQueue, InflightFills, LineCache, MemorySystem, ReturnAddressStack, Tage};
 use shotgun::ShotgunPrefetcher;
@@ -337,8 +337,7 @@ impl<'p> PipelineState<'p> {
     ///
     /// Whenever a refill is needed, a few blocks beyond `pos` are
     /// pulled in the same pass: the backend asks for the oracle head
-    /// once per retired block, and read-ahead amortizes the per-call
-    /// source dispatch (for the batch engine, a shared-window borrow)
+    /// once per retired block, and read-ahead amortizes the refill
     /// across `ORACLE_READAHEAD` blocks. Pure buffering — consumption
     /// order, stats, and the retired position at which dryness is
     /// observable are unchanged (an early `source_dry` flag only makes
@@ -349,9 +348,14 @@ impl<'p> PipelineState<'p> {
         if pos < self.oracle.len() {
             return true;
         }
-        let want = pos + ORACLE_READAHEAD + 1 - self.oracle.len();
-        if self.source.next_blocks_into(want, &mut self.oracle) < want {
-            self.source_dry = true;
+        for _ in self.oracle.len()..=pos + ORACLE_READAHEAD {
+            match self.source.next_block() {
+                Some(rb) => self.oracle.push_back(rb),
+                None => {
+                    self.source_dry = true;
+                    break;
+                }
+            }
         }
         pos < self.oracle.len()
     }

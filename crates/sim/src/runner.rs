@@ -1,6 +1,7 @@
 //! Scheme specifications, run-length control, and the one-cell
-//! `run_scheme*` conveniences. Each wrapper is a batch of one through
-//! the same engine and run driver as an `Experiment` sweep cell.
+//! `run_scheme*` conveniences. Each wrapper builds one [`Simulator`]
+//! over its source and runs it through the same driver as an
+//! `Experiment` sweep cell.
 
 use fe_cfg::{Executor, Program};
 use fe_model::{MachineConfig, SimStats};
@@ -9,8 +10,9 @@ use shotgun::{RegionPolicy, ShotgunConfig, ShotgunPrefetcher};
 
 use fe_baselines::{Boomerang, Confluence, ConfluenceConfig, Fdip, NoPrefetch};
 
-use crate::batch::BatchSimulator;
-use crate::engine::EngineScheme;
+use fe_uarch::MemorySystem;
+
+use crate::engine::{EngineScheme, Simulator};
 use crate::pipeline::{BPU_BLOCKS_PER_CYCLE, FETCH_LINES_PER_CYCLE, SUPPLY_CAP};
 use crate::sampling::{SampledStats, SamplingSpec};
 use crate::source::SourceKind;
@@ -203,27 +205,40 @@ impl RunLength {
     }
 }
 
-/// The one run behind every one-cell wrapper: `spec` over `source` as
-/// a batch of one. Returns the cell's measured windows — the one
-/// full-detail window, or every sampled interval.
+/// A fresh simulator for one cell: `spec` over `source`, with a private
+/// memory system.
+pub(crate) fn simulator<'p>(
+    program: &'p Program,
+    source: impl Into<SourceKind<'p>>,
+    spec: &SchemeSpec,
+    machine: &MachineConfig,
+    seed: u64,
+) -> Simulator<'p> {
+    let mem = MemorySystem::new(machine);
+    Simulator::with_source(
+        program,
+        machine.clone(),
+        spec.build(machine),
+        seed,
+        mem,
+        source,
+    )
+}
+
+/// The full-detail run behind every one-cell wrapper.
 ///
 /// # Panics
 ///
 /// Panics if the source ran dry mid-run (the pipeline itself degrades
 /// a truncated source into a reported stall, but a cell measured over
 /// a partial stream would be silently wrong, so this re-checks loudly).
-fn run_cell<'p>(
-    program: &'p Program,
-    source: impl Into<SourceKind<'p>>,
-    spec: &SchemeSpec,
-    machine: &MachineConfig,
-    len: RunLength,
-    sampling: Option<SamplingSpec>,
-    seed: u64,
-) -> Vec<SimStats> {
-    let mut batch = BatchSimulator::new(program, machine.clone(), source, seed, sampling);
-    batch.add_cell(spec, len);
-    batch.run_windows().remove(0)
+fn run_full(mut sim: Simulator<'_>, len: RunLength) -> SimStats {
+    let stats = sim.run(len.warmup, len.measure);
+    assert!(
+        !sim.source_exhausted(),
+        "one-cell run ran dry mid-run — record at least RunLength::trace_instrs instructions"
+    );
+    stats
 }
 
 /// Runs one scheme over one program — the one-cell convenience wrapper
@@ -237,16 +252,10 @@ pub fn run_scheme(
     len: RunLength,
     seed: u64,
 ) -> SimStats {
-    run_cell(
-        program,
-        Executor::new(program, seed),
-        spec,
-        machine,
+    run_full(
+        simulator(program, Executor::new(program, seed), spec, machine, seed),
         len,
-        None,
-        seed,
     )
-    .remove(0)
 }
 
 /// Runs one scheme over one program with the retired stream replayed
@@ -269,7 +278,10 @@ pub fn run_scheme_replayed(
     seed: u64,
 ) -> SimStats {
     assert_trace_matches(trace, program, seed);
-    run_cell(program, trace.replayer(), spec, machine, len, None, seed).remove(0)
+    run_full(
+        simulator(program, trace.replayer(), spec, machine, seed),
+        len,
+    )
 }
 
 /// [`run_scheme_replayed`], but replaying from a chunk-compressed v2
@@ -290,7 +302,10 @@ pub fn run_scheme_store_replayed(
     seed: u64,
 ) -> SimStats {
     assert_store_matches(store, program, seed);
-    run_cell(program, store.replayer(), spec, machine, len, None, seed).remove(0)
+    run_full(
+        simulator(program, store.replayer(), spec, machine, seed),
+        len,
+    )
 }
 
 pub(crate) fn assert_trace_matches(trace: &Trace, program: &Program, seed: u64) {
@@ -338,22 +353,23 @@ pub fn run_scheme_sampled(
     sampling: SamplingSpec,
     seed: u64,
 ) -> SampledStats {
-    let source = Executor::new(program, seed);
-    let intervals = run_cell(program, source, spec, machine, len, Some(sampling), seed);
-    SampledStats {
-        intervals,
-        truncated: false,
-    }
+    simulator(program, Executor::new(program, seed), spec, machine, seed).run_sampled(
+        len.warmup,
+        len.measure,
+        sampling,
+    )
 }
 
 /// [`run_scheme_sampled`] over a recorded trace: the fast-forward
 /// phases use the replayer's seekable decode-skip, which is where the
-/// bulk of sampled mode's speedup comes from.
+/// bulk of sampled mode's speedup comes from. A trace that runs dry
+/// ends the run early with the intervals measured so far and
+/// `truncated` set.
 ///
 /// # Panics
 ///
 /// Panics if `trace` was not recorded against `program` with `seed`,
-/// or if the trace ran dry before the sampled run completed.
+/// or under the conditions of [`run_scheme_sampled`].
 pub fn run_scheme_sampled_replayed(
     program: &Program,
     trace: &Trace,
@@ -364,24 +380,36 @@ pub fn run_scheme_sampled_replayed(
     seed: u64,
 ) -> SampledStats {
     assert_trace_matches(trace, program, seed);
-    let intervals = run_cell(
-        program,
-        trace.replayer(),
-        spec,
-        machine,
-        len,
-        Some(sampling),
-        seed,
-    );
-    SampledStats {
-        intervals,
-        truncated: false,
-    }
+    simulator(program, trace.replayer(), spec, machine, seed).run_sampled(
+        len.warmup,
+        len.measure,
+        sampling,
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    #[should_panic(expected = "ran dry mid-run")]
+    fn truncated_trace_panics_mid_run() {
+        let program = fe_cfg::workloads::nutch().scaled(0.05).build();
+        let len = RunLength {
+            warmup: 20_000,
+            measure: 1_000_000,
+        };
+        let trace = Trace::record(&program, 0x5407, 50_000);
+        let machine = MachineConfig::table3();
+        run_scheme_replayed(
+            &program,
+            &trace,
+            &SchemeSpec::NoPrefetch,
+            &machine,
+            len,
+            0x5407,
+        );
+    }
 
     #[test]
     fn distinct_shotgun_configs_get_distinct_labels() {

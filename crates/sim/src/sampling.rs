@@ -54,6 +54,7 @@ use fe_uarch::scheme::ControlFlowDelivery;
 use fe_uarch::RasEntry;
 
 use crate::engine::{EngineScheme, Phase, Simulator, SnapshotSlot};
+use crate::snapshot::WarmSnapshot;
 
 /// Cap on the unmeasured timed ramp that refills the pipeline before
 /// each measured window (the window's first instructions otherwise
@@ -247,6 +248,21 @@ impl CellSampling {
     }
 }
 
+/// The sampled-run entry contract: a valid spec and room for at least
+/// one detail window.
+fn check_sampled(measure: u64, spec: SamplingSpec) {
+    if let Err(e) = spec.validate() {
+        // audit-allow(no-unchecked-panic): run-entry contract — an invalid sampling spec is a caller bug, not a runtime condition; Experiment::try_run is the typed path
+        panic!("invalid sampling spec: {e}");
+    }
+    assert!(
+        measure >= spec.detail,
+        "sampled run measures {measure} instructions — too short for even one \
+         {}-instruction detail window (shrink the spec or run full detail)",
+        spec.detail,
+    );
+}
+
 impl<'p> Simulator<'p> {
     /// Sampled run: functionally warms `warmup` instructions, then
     /// covers `measure` instructions alternating fast-forward /
@@ -264,7 +280,7 @@ impl<'p> Simulator<'p> {
     /// statistics.
     pub fn run_sampled(&mut self, warmup: u64, measure: u64, spec: SamplingSpec) -> SampledStats {
         self.start_sampled(warmup, measure, spec, None);
-        self.advance(u64::MAX);
+        self.drive();
         SampledStats {
             intervals: std::mem::take(&mut self.measured),
             truncated: self.state.source_dry,
@@ -272,9 +288,8 @@ impl<'p> Simulator<'p> {
     }
 
     /// Arms a sampled run (see [`Self::run_sampled`]). With a snapshot
-    /// slot, a stored warmed state is installed right away and the
-    /// initial warm becomes a seek past the warmed prefix; on a miss the
-    /// warmed state is captured and stored once the warm completes.
+    /// slot, the warmed state is captured and stored once the initial
+    /// warm completes.
     ///
     /// # Panics
     ///
@@ -286,85 +301,71 @@ impl<'p> Simulator<'p> {
         spec: SamplingSpec,
         snapshot: SnapshotSlot<'p>,
     ) {
-        if let Err(e) = spec.validate() {
-            // audit-allow(no-unchecked-panic): run-entry contract — an invalid sampling spec is a caller bug, not a runtime condition; Experiment::try_run is the typed path
-            panic!("invalid sampling spec: {e}");
-        }
-        assert!(
-            measure >= spec.detail,
-            "sampled run measures {measure} instructions — too short for even one \
-             {}-instruction detail window (shrink the spec or run full detail)",
-            spec.detail,
-        );
+        check_sampled(measure, spec);
         self.measured.clear();
-        self.phase = match snapshot.and_then(|(store, key)| store.get(&key)) {
-            Some(snap) => Phase::Seek {
-                remaining: self.restore_warm(&snap),
-                measure,
-                spec,
-            },
-            None => Phase::InitWarm {
-                remaining: warmup,
+        self.phase = Phase::InitWarm {
+            warmup,
+            measure,
+            spec,
+            snapshot,
+        };
+    }
+
+    /// Arms a sampled run that starts from a warmed state instead of
+    /// warming: `snap` is installed right away, and the initial warm
+    /// becomes a seek past the warmed prefix.
+    ///
+    /// # Panics
+    ///
+    /// Same conditions as [`Self::run_sampled`].
+    pub(crate) fn restore_sampled(
+        &mut self,
+        snap: &WarmSnapshot,
+        measure: u64,
+        spec: SamplingSpec,
+    ) {
+        check_sampled(measure, spec);
+        self.measured.clear();
+        self.phase = Phase::Seek {
+            warmed: self.restore_warm(snap),
+            measure,
+            spec,
+        };
+    }
+
+    /// The initial warm, in one pass: warms the armed warmup length
+    /// with `riders` along (see [`Self::warm_functional_with`]), or,
+    /// after a restore, seeks past the warmed prefix. Then stores the
+    /// warmed snapshot when the run has a slot and enters the interval
+    /// loop.
+    pub(crate) fn init_warm(&mut self, riders: &mut [EngineScheme]) {
+        let (measure, spec) = match self.phase {
+            Phase::InitWarm {
+                warmup,
                 measure,
                 spec,
                 snapshot,
-            },
-        };
-    }
-
-    /// One step of the initial warm: warms (after a restore: seeks
-    /// past) up to `chunk` more instructions and returns `true`; once
-    /// the warm is complete, stores the warmed snapshot when the run
-    /// has a slot, enters the interval loop and returns `false`.
-    ///
-    /// Each chunk stops at the first block boundary at or past its
-    /// sub-target, so the last one stops at the first boundary at or
-    /// past the whole warmup — exactly where one unchunked warm would.
-    /// A short chunk only happens when the source ran dry, which makes
-    /// `stream_ended()` true on the next step.
-    pub(crate) fn init_warm_step(&mut self, chunk: u64) -> bool {
-        let (remaining, measure, spec) = match self.phase {
-            Phase::InitWarm {
-                remaining,
+            } => {
+                self.warm_functional_with(warmup, riders);
+                if let Some((store, key)) = snapshot {
+                    if let Some(snap) = self.capture_warm() {
+                        store.put(key, snap);
+                    }
+                }
+                (measure, spec)
+            }
+            Phase::Seek {
+                warmed,
                 measure,
                 spec,
-                ..
+            } => {
+                self.skip_functional(warmed);
+                (measure, spec)
             }
-            | Phase::Seek {
-                remaining,
-                measure,
-                spec,
-            } => (remaining, measure, spec),
-            _ => return false,
+            _ => return,
         };
-        if remaining > 0 && !self.state.stream_ended() {
-            let chunk = remaining.min(chunk);
-            let covered = match self.phase {
-                Phase::Seek { .. } => self.skip_functional(chunk),
-                _ => self.warm_functional(chunk),
-            };
-            self.consume_warm(covered);
-            return true;
-        }
-        if let Phase::InitWarm {
-            snapshot: Some((store, key)),
-            ..
-        } = self.phase
-        {
-            if let Some(snap) = self.capture_warm() {
-                store.put(key, snap);
-            }
-        }
         let end = self.state.retired_total.saturating_add(measure);
         self.phase = Phase::Intervals { end, spec };
-        false
-    }
-
-    /// Counts `covered` instructions off the initial warm's remainder.
-    pub(crate) fn consume_warm(&mut self, covered: u64) {
-        if let Phase::InitWarm { remaining, .. } | Phase::Seek { remaining, .. } = &mut self.phase {
-            *remaining = remaining.saturating_sub(covered);
-        }
     }
 
     /// One interval of the sampled loop: a functional tail warm, or
@@ -385,7 +386,7 @@ impl<'p> Simulator<'p> {
         self.skip_functional(skip);
         self.warm_functional(fwarm);
         if self.state.stream_ended() || !self.begin_interval() {
-            self.finish();
+            self.phase = Phase::Done;
             return;
         }
         // Unmeasured ramp: refill the FTQ/supply so the measured window
@@ -411,9 +412,9 @@ impl<'p> Simulator<'p> {
     /// [`Self::warm_functional`] with ride-along schemes: every warmed
     /// block is also fed to each rider's
     /// [`warm_block`](ControlFlowDelivery::warm_block) hook against
-    /// this cell's front-end context — the batch engine's shared-warm
-    /// pass, where one leader walks the warm window and the other
-    /// cells' schemes ride along instead of re-walking it themselves.
+    /// this cell's front-end context — the batch engine's shared warm,
+    /// where one leader walks the initial warm and the other cells'
+    /// schemes ride along instead of re-walking it themselves.
     /// The context the riders see is the leader's post-`warm_one`
     /// state, exactly what each rider's own warm would show at the same
     /// block (the warmed structures are identical across same-config

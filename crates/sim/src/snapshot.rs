@@ -23,10 +23,11 @@
 //! through the timed pipeline, which is the measurement, not a
 //! warm-up).
 //!
-//! The run driver's initial-warm step does the work: a sampled cell
-//! given a store restores on a hit (then only seeks past the warmed
-//! prefix) and captures and stores its state after warming on a miss.
-//! Schemes ride along as clones of their concrete state.
+//! The [batch engine](crate::batch) looks each sampled cell up: a hit
+//! restores (the cell then only seeks past the warmed prefix), and on a
+//! miss the run driver's initial-warm step captures and stores the
+//! state after warming. Schemes ride along as clones of their concrete
+//! state.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -121,13 +122,10 @@ impl WarmScheme {
 
 /// Deep copy of the scheme-*independent* structures the functional
 /// warm path mutates: L1-I, TAGE, retire RAS, and the memory image.
-/// Shared by [`WarmSnapshot`] (cross-run caching) and the batch
-/// engine's shared-warm pass (within one batch, one leader warms these
-/// once and clones of them are installed into every same-config cell —
-/// the structures depend only on the retired stream, never on the
-/// scheme riding above them).
-#[derive(Clone)]
-pub(crate) struct WarmStructures {
+/// The structures depend only on the retired stream, never on the
+/// scheme riding above them, so the batch engine's shared warm hands
+/// one leader's copy to every follower's [`WarmSnapshot`].
+struct WarmStructures {
     l1i: LineCache,
     tage: Tage,
     retire_ras: ReturnAddressStack,
@@ -138,7 +136,7 @@ pub(crate) struct WarmStructures {
 /// the stream position warming stopped at. See the module docs for the
 /// exactness argument.
 pub struct WarmSnapshot {
-    structures: WarmStructures,
+    structures: Arc<WarmStructures>,
     scheme: WarmScheme,
     /// Instructions the warm phase consumed (block-aligned).
     warmed: u64,
@@ -147,7 +145,7 @@ pub struct WarmSnapshot {
 impl<'p> Simulator<'p> {
     /// Captures the scheme-independent warmed structures. `None` when
     /// the memory system is not snapshottable (shared memory group).
-    pub(crate) fn capture_warm_structures(&self) -> Option<WarmStructures> {
+    fn capture_warm_structures(&self) -> Option<WarmStructures> {
         let s = &self.state;
         Some(WarmStructures {
             l1i: s.l1i.clone(),
@@ -157,16 +155,6 @@ impl<'p> Simulator<'p> {
         })
     }
 
-    /// Installs deep copies of scheme-independent warmed structures.
-    /// The stream position must already match the capture point.
-    pub(crate) fn install_warm_structures(&mut self, ws: &WarmStructures) {
-        let s = &mut self.state;
-        s.l1i = ws.l1i.clone();
-        s.tage = ws.tage.clone();
-        s.retire_ras = ws.retire_ras.clone();
-        s.mem = ws.mem.thaw();
-    }
-
     /// Captures the current warmed state. Call immediately after the
     /// initial functional warm of a sampled run, before any interval.
     /// `None` when the memory system is not snapshottable (shared
@@ -174,9 +162,34 @@ impl<'p> Simulator<'p> {
     pub(crate) fn capture_warm(&self) -> Option<WarmSnapshot> {
         Some(WarmSnapshot {
             scheme: WarmScheme::capture(&self.state.scheme),
-            structures: self.capture_warm_structures()?,
+            structures: Arc::new(self.capture_warm_structures()?),
             warmed: self.state.retired_total,
         })
+    }
+
+    /// After a shared initial warm: each rider's warmed state — this
+    /// cell's warmed structures (one copy, shared) under the rider's
+    /// own scheme.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the memory system is not snapshottable (a shared
+    /// memory group); batch cells always own theirs.
+    pub(crate) fn rider_snapshots(&self, riders: &[EngineScheme]) -> Vec<Arc<WarmSnapshot>> {
+        let structures = Arc::new(
+            self.capture_warm_structures()
+                .expect("batch cells own private, snapshottable memory systems"),
+        );
+        riders
+            .iter()
+            .map(|rider| {
+                Arc::new(WarmSnapshot {
+                    structures: Arc::clone(&structures),
+                    scheme: WarmScheme::capture(rider),
+                    warmed: self.state.retired_total,
+                })
+            })
+            .collect()
     }
 
     /// Restores a warmed state into a *fresh* simulator built over the
@@ -186,8 +199,12 @@ impl<'p> Simulator<'p> {
     /// decode-skip on a replayer). The subsequent measured intervals
     /// are bit-identical to warming functionally.
     pub(crate) fn restore_warm(&mut self, snap: &WarmSnapshot) -> u64 {
-        self.install_warm_structures(&snap.structures);
-        self.state.scheme = snap.scheme.install();
+        let (s, ws) = (&mut self.state, &snap.structures);
+        s.l1i = ws.l1i.clone();
+        s.tage = ws.tage.clone();
+        s.retire_ras = ws.retire_ras.clone();
+        s.mem = ws.mem.thaw();
+        s.scheme = snap.scheme.install();
         snap.warmed
     }
 }
@@ -260,7 +277,7 @@ impl SnapshotStore {
     /// Stores a warmed state, evicting the least recently used entry
     /// when full. Re-putting an existing key keeps the stored snapshot
     /// but refreshes its recency.
-    pub fn put(&self, key: SnapshotKey, snapshot: WarmSnapshot) {
+    pub fn put(&self, key: SnapshotKey, snapshot: impl Into<Arc<WarmSnapshot>>) {
         let mut store = self.entries.lock().expect("snapshot-store mutex poisoned");
         if store.map.contains_key(&key) {
             store.touch(&key);
@@ -271,7 +288,7 @@ impl SnapshotStore {
             store.map.remove(&oldest);
         }
         store.order.push(key);
-        store.map.insert(key, Arc::new(snapshot));
+        store.map.insert(key, snapshot.into());
     }
 
     /// Lookups that found a snapshot.
@@ -333,8 +350,8 @@ mod tests {
         store: &SnapshotStore,
     ) -> Vec<SampledStats> {
         let machine = MachineConfig::table3();
-        let mut batch = BatchSimulator::new(program, machine, trace.replayer(), 7, Some(SPEC))
-            .with_snapshots(store, trace.header().fingerprint);
+        let mut batch =
+            BatchSimulator::new(program, machine, trace, 7, Some(SPEC)).with_snapshots(store);
         for scheme in schemes {
             batch.add_cell(scheme, LEN);
         }

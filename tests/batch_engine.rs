@@ -1,8 +1,9 @@
 //! Batch-engine equivalence: in a multi-scheme sweep the cells of a
-//! workload share one decode pass and one initial functional warm, yet
-//! every cell must carry exactly the statistics of the same cell run
-//! alone through a one-cell wrapper — across workloads, scheme sets,
-//! seeds and run shapes. Identical statistics
+//! workload run one after another over the recorded trace, each through
+//! its own replayer, and a sampled sweep's cells share one initial
+//! functional warm — yet every cell must carry exactly the statistics
+//! of the same cell run alone through a one-cell wrapper, across
+//! workloads, scheme sets, seeds and run shapes. Identical statistics
 //! derive identical metrics, so the sweep's report bytes are the bytes
 //! the one-cell runs would emit.
 
@@ -131,9 +132,8 @@ fn sampled_batch_report_is_byte_identical() {
 }
 
 /// `Experiment` fixes one `RunLength` per sweep, but the engine itself
-/// accepts a length per cell; a short cell must finish, release its
-/// shared-window cursor (so the window keeps pruning), and leave the
-/// longer cells bit-identical to their solo runs.
+/// accepts a length per cell; a short cell between long ones must
+/// leave every cell bit-identical to its solo run.
 #[test]
 fn heterogeneous_run_lengths_batch_without_cross_talk() {
     let program = workloads::apache().scaled(0.15).build();
@@ -149,7 +149,7 @@ fn heterogeneous_run_lengths_batch_without_cross_talk() {
     };
     let trace = Trace::record(&program, seed, long.trace_instrs(&machine));
 
-    let mut batch = BatchSimulator::new(&program, machine.clone(), trace.replayer(), seed, None);
+    let mut batch = BatchSimulator::new(&program, machine.clone(), &trace, seed, None);
     batch.add_cell(&SchemeSpec::shotgun(), long);
     batch.add_cell(&SchemeSpec::NoPrefetch, short);
     batch.add_cell(&SchemeSpec::boomerang(), long);

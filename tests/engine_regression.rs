@@ -79,9 +79,7 @@ fn replayed_sweep_cells_match_live_execution_for_every_workload() {
     }
 }
 
-/// How a parity run feeds the pipeline — every `SourceKind` a private
-/// simulator can own (`Shared` cursors are the batch engine's; see
-/// `batch_engine.rs`).
+/// How a parity run feeds the pipeline — every `SourceKind`.
 #[derive(Clone, Copy, Debug)]
 enum SourceFlavor {
     /// `SourceKind::Live` (executor walk).
