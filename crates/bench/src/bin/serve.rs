@@ -6,10 +6,13 @@
 //! 1. the second submission is served **entirely** from the
 //!    content-addressed result cache (zero recomputed cells), and
 //! 2. its report is **byte-identical** to the first run's — served
-//!    results are indistinguishable from computed ones.
+//!    results are indistinguishable from computed ones, and
+//! 3. it builds **no program**: the service's fingerprint memo names
+//!    every workload's program without synthesizing it.
 //!
 //! Emitted as `BENCH_serve.json` under `SHOTGUN_JSON_DIR`: wall time,
-//! jobs/s, and cache-hit rate per submission — the tracked throughput
+//! jobs/s, cache-hit rate and fingerprint-memo counts (hits, misses,
+//! programs built) per submission — the tracked throughput
 //! trajectory of the service path (queue + checkpoint + cache + wire
 //! protocol overhead rides on top of raw simulation).
 //!
@@ -27,7 +30,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use fe_bench::{banner, default_len, env_f64, suite, threads, write_serve_json, ServeRun, SEED};
+use fe_bench::{
+    banner, default_len, env_f64, suite, threads, write_serve_json, MemoCounts, ServeRun, SEED,
+};
 use fe_serve::{submit_job, ClientOutcome, ExperimentService, JobSpec, JobWorkload, Server};
 use fe_sim::{SamplingSpec, SchemeSpec};
 
@@ -78,21 +83,30 @@ fn main() {
         std::thread::spawn(move || server.run_until(&stop))
     };
 
-    let submit = |label: &str| -> (ClientOutcome, f64) {
+    let memo = service.fingerprints();
+    let memo_counts = || MemoCounts {
+        hits: memo.hits(),
+        misses: memo.misses(),
+        programs_built: memo.programs_built(),
+    };
+    let submit = |label: &str| -> (ClientOutcome, f64, MemoCounts) {
+        let before = memo_counts();
         let t0 = Instant::now();
         let outcome = submit_job(&addr, &spec).expect("submission succeeds");
         let wall = t0.elapsed().as_secs_f64();
+        let memo = memo_counts().since(&before);
         eprintln!(
-            "[{label}] job {}: {} cells ({} cached) in {:.1} ms",
+            "[{label}] job {}: {} cells ({} cached), {} programs built, in {:.1} ms",
             outcome.job_id,
             outcome.progress.len(),
             outcome.cached_cells(),
+            memo.programs_built,
             wall * 1e3,
         );
-        (outcome, wall)
+        (outcome, wall, memo)
     };
-    let (cold, cold_wall) = submit("cold");
-    let (warm, warm_wall) = submit("warm");
+    let (cold, cold_wall, cold_memo) = submit("cold");
+    let (warm, warm_wall, warm_memo) = submit("warm");
     stop.store(true, Ordering::SeqCst);
     server_thread.join().expect("server thread");
 
@@ -111,6 +125,14 @@ fn main() {
         eprintln!("SERVE GATE FAILED: cached report differs from the computed one");
         std::process::exit(1);
     }
+    // Gate 3: the fingerprint memo spares the resubmission all synthesis.
+    if warm_memo.programs_built != 0 {
+        eprintln!(
+            "SERVE GATE FAILED: the fully cached resubmission built {} programs",
+            warm_memo.programs_built,
+        );
+        std::process::exit(1);
+    }
 
     let hit_rate = |o: &ClientOutcome| o.cached_cells() as f64 / total as f64;
     println!(
@@ -127,7 +149,9 @@ fn main() {
             hit_rate(outcome) * 100.0,
         );
     }
-    println!("\nserve gate: resubmission 100% cache hit, report byte-identical — ok");
+    println!(
+        "\nserve gate: resubmission 100% cache hit, report byte-identical, no program built — ok"
+    );
 
     write_serve_json(&ServeRun {
         len,
@@ -136,8 +160,10 @@ fn main() {
         total_cells: total,
         cold_wall_ms: cold_wall * 1e3,
         cold_hit_rate: hit_rate(&cold),
+        cold_memo,
         warm_wall_ms: warm_wall * 1e3,
         warm_hit_rate: hit_rate(&warm),
+        warm_memo,
         report_bytes: cold.report.len(),
     });
     let _ = std::fs::remove_dir_all(&root);

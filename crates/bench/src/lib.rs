@@ -157,26 +157,58 @@ pub struct ServeRun {
     pub cold_wall_ms: f64,
     /// Cache-hit rate of the first submission (0.0 on a fresh root).
     pub cold_hit_rate: f64,
+    /// Fingerprint-memo activity during the first submission.
+    pub cold_memo: MemoCounts,
     /// Wall time of the resubmission (served from cache).
     pub warm_wall_ms: f64,
     /// Cache-hit rate of the resubmission (the gate demands 1.0).
     pub warm_hit_rate: f64,
+    /// Fingerprint-memo activity during the resubmission (the gate
+    /// demands 0 programs built).
+    pub warm_memo: MemoCounts,
     /// Size of the (byte-identical) report both runs returned.
     pub report_bytes: usize,
 }
 
+/// Deterministic fingerprint-memo counts over one submission (see
+/// `fe_sim::FingerprintMemo`).
+#[derive(Clone, Copy, Debug, Default)]
+pub struct MemoCounts {
+    /// Workload specs whose fingerprint the memo knew.
+    pub hits: u64,
+    /// Workload specs it did not know (each one built its program).
+    pub misses: u64,
+    /// Programs synthesized, misses included.
+    pub programs_built: u64,
+}
+
+impl MemoCounts {
+    /// The counts accumulated since `earlier`.
+    pub fn since(&self, earlier: &MemoCounts) -> MemoCounts {
+        MemoCounts {
+            hits: self.hits - earlier.hits,
+            misses: self.misses - earlier.misses,
+            programs_built: self.programs_built - earlier.programs_built,
+        }
+    }
+}
+
 /// Emits `BENCH_serve.json` under `SHOTGUN_JSON_DIR`: service
-/// throughput (jobs/s, cold and cached) and cache-hit rates. Like
-/// `BENCH_perf.json`, all wall-clock fields live here and only here.
+/// throughput (jobs/s, cold and cached), cache-hit rates and
+/// fingerprint-memo counts. Like `BENCH_perf.json`, all wall-clock
+/// fields live here and only here.
 pub fn write_serve_json(run: &ServeRun) {
     let Ok(dir) = std::env::var("SHOTGUN_JSON_DIR") else {
         return;
     };
-    let submission = |wall_ms: f64, hit_rate: f64| {
+    let submission = |wall_ms: f64, hit_rate: f64, memo: &MemoCounts| {
         Json::Obj(vec![
             ("wall_ms".into(), Json::F64(wall_ms)),
             ("jobs_per_s".into(), Json::F64(1e3 / wall_ms)),
             ("cache_hit_rate".into(), Json::F64(hit_rate)),
+            ("fingerprint_hits".into(), Json::U64(memo.hits)),
+            ("fingerprint_misses".into(), Json::U64(memo.misses)),
+            ("programs_built".into(), Json::U64(memo.programs_built)),
         ])
     };
     let sampling = run.sampling.map_or(Json::Null, |s| {
@@ -201,11 +233,11 @@ pub fn write_serve_json(run: &ServeRun) {
         ),
         (
             "cold".into(),
-            submission(run.cold_wall_ms, run.cold_hit_rate),
+            submission(run.cold_wall_ms, run.cold_hit_rate, &run.cold_memo),
         ),
         (
             "warm".into(),
-            submission(run.warm_wall_ms, run.warm_hit_rate),
+            submission(run.warm_wall_ms, run.warm_hit_rate, &run.warm_memo),
         ),
         (
             "summary".into(),

@@ -5,13 +5,20 @@
 //! (see [`server`](crate::server)): jobs are submitted as [`JobSpec`]s,
 //! persisted under `jobs/` before they are acknowledged, and executed
 //! strictly in submission order through [`fe_sim::Experiment`] with
-//! three storage layers installed:
+//! four storage layers installed:
 //!
 //! * the shared [`DiskCellStore`] — repeated cells across jobs cost a
 //!   file read, byte-identical to computing them;
 //! * a per-job [`JobCheckpoint`] recording the completed-cell set;
 //! * a process-lifetime [`SnapshotStore`] so sampled re-runs skip
-//!   functional warming.
+//!   functional warming;
+//! * a process-lifetime [`FingerprintMemo`] so a job resolves its cell
+//!   keys without synthesizing programs, and a fully cached job builds
+//!   none.
+//!
+//! A spec is [validated](JobSpec::validate) before it is accepted, and
+//! a job that panics anyway ends `Failed` without taking the worker
+//! (and every job queued behind it) down.
 //!
 //! A killed daemon resumes on restart: `open` re-enqueues every
 //! pending job spec it finds, and their completed cells are served
@@ -20,6 +27,7 @@
 use std::collections::HashMap;
 use std::fs;
 use std::io;
+use std::panic::{self, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Sender};
@@ -30,8 +38,8 @@ use fe_cfg::workloads;
 use fe_model::MachineConfig;
 use fe_sim::json::{self, Json};
 use fe_sim::{
-    scheme_from_json, scheme_to_json, Experiment, RunLength, SamplingSpec, SchemeSpec,
-    SnapshotStore,
+    scheme_from_json, scheme_to_json, Experiment, FingerprintMemo, RunLength, SamplingSpec,
+    SchemeSpec, SnapshotStore,
 };
 
 use crate::store::{write_atomic, DiskCellStore, JobCheckpoint};
@@ -121,48 +129,34 @@ impl JobSpec {
         ])
     }
 
-    /// Parses a spec, validating workload names against the catalog so
-    /// a bad submission is refused at the door instead of panicking the
+    /// Parses a spec and [validates](Self::validate) it, so a bad
+    /// submission is refused at the door instead of panicking the
     /// worker.
     pub fn from_json(doc: &Json) -> Result<JobSpec, String> {
         let mut spec_workloads = Vec::new();
         for w in doc.req("workloads")?.as_arr()? {
-            let name = w.req("name")?.as_str()?.to_string();
-            if workloads::by_name(&name).is_none() {
-                return Err(format!("unknown workload `{name}`"));
-            }
             let scale = match w.get("scale") {
                 None | Some(Json::Null) => None,
-                Some(s) => {
-                    let s = s.as_f64()?;
-                    if !(s.is_finite() && s > 0.0) {
-                        return Err(format!("workload scale must be positive, got {s}"));
-                    }
-                    Some(s)
-                }
+                Some(s) => Some(s.as_f64()?),
             };
-            spec_workloads.push(JobWorkload { name, scale });
+            spec_workloads.push(JobWorkload {
+                name: w.req("name")?.as_str()?.to_string(),
+                scale,
+            });
         }
         let mut schemes = Vec::new();
         for s in doc.req("schemes")?.as_arr()? {
             schemes.push(scheme_from_json(s)?);
         }
-        if spec_workloads.is_empty() || schemes.is_empty() {
-            return Err("job needs at least one workload and one scheme".into());
-        }
         let sampling = match doc.get("sampling") {
             None | Some(Json::Null) => None,
-            Some(s) => {
-                let spec = SamplingSpec {
-                    interval: s.req("interval")?.as_u64()?,
-                    detail: s.req("detail")?.as_u64()?,
-                    warmup: s.req("warmup")?.as_u64()?,
-                };
-                spec.validate()?;
-                Some(spec)
-            }
+            Some(s) => Some(SamplingSpec {
+                interval: s.req("interval")?.as_u64()?,
+                detail: s.req("detail")?.as_u64()?,
+                warmup: s.req("warmup")?.as_u64()?,
+            }),
         };
-        Ok(JobSpec {
+        let spec = JobSpec {
             workloads: spec_workloads,
             schemes,
             len: RunLength {
@@ -172,7 +166,48 @@ impl JobSpec {
             seed: doc.req("seed")?.as_u64()?,
             sampling,
             threads: doc.get("threads").map_or(Ok(0), Json::as_u64)? as usize,
-        })
+        };
+        spec.validate()?;
+        Ok(spec)
+    }
+
+    /// Checks everything [`Experiment::run`] would otherwise panic on:
+    /// at least one workload and one scheme, catalog workload names,
+    /// positive finite scales, a valid sampling shape, and no two
+    /// workloads with the same name or schemes with the same label
+    /// (report cells are keyed by both).
+    pub fn validate(&self) -> Result<(), String> {
+        if self.workloads.is_empty() || self.schemes.is_empty() {
+            return Err("job needs at least one workload and one scheme".into());
+        }
+        for (i, w) in self.workloads.iter().enumerate() {
+            if workloads::by_name(&w.name).is_none() {
+                return Err(format!("unknown workload `{}`", w.name));
+            }
+            if let Some(s) = w.scale {
+                if !(s.is_finite() && s > 0.0) {
+                    return Err(format!("workload scale must be positive, got {s}"));
+                }
+            }
+            if self.workloads[..i].iter().any(|prev| prev.name == w.name) {
+                return Err(format!(
+                    "duplicate workload `{}`: report cells are keyed by name",
+                    w.name
+                ));
+            }
+        }
+        let labels: Vec<String> = self.schemes.iter().map(SchemeSpec::label).collect();
+        for (i, label) in labels.iter().enumerate() {
+            if labels[..i].contains(label) {
+                return Err(format!(
+                    "duplicate scheme `{label}`: report cells are keyed by label"
+                ));
+            }
+        }
+        if let Some(sampling) = &self.sampling {
+            sampling.validate()?;
+        }
+        Ok(())
     }
 
     /// Cells this job sweeps.
@@ -240,6 +275,7 @@ struct Worker {
     cache: Arc<DiskCellStore>,
     cache_max_bytes: Option<u64>,
     snapshots: Arc<SnapshotStore>,
+    fingerprints: Arc<FingerprintMemo>,
     table: Arc<JobTable>,
     draining: Arc<AtomicBool>,
 }
@@ -250,6 +286,7 @@ pub struct ExperimentService {
     jobs_dir: PathBuf,
     cache: Arc<DiskCellStore>,
     snapshots: Arc<SnapshotStore>,
+    fingerprints: Arc<FingerprintMemo>,
     queue: Mutex<Option<Sender<QueuedJob>>>,
     table: Arc<JobTable>,
     next_id: Mutex<JobId>,
@@ -283,6 +320,7 @@ impl ExperimentService {
             cache.gc(max);
         }
         let snapshots = Arc::new(SnapshotStore::new());
+        let fingerprints = Arc::new(FingerprintMemo::new());
         let table = Arc::new(JobTable {
             states: Mutex::new(HashMap::new()),
             changed: Condvar::new(),
@@ -335,6 +373,7 @@ impl ExperimentService {
             cache: Arc::clone(&cache),
             cache_max_bytes,
             snapshots: Arc::clone(&snapshots),
+            fingerprints: Arc::clone(&fingerprints),
             table: Arc::clone(&table),
             draining: Arc::clone(&draining),
         };
@@ -346,6 +385,7 @@ impl ExperimentService {
             jobs_dir,
             cache,
             snapshots,
+            fingerprints,
             queue: Mutex::new(Some(tx)),
             table,
             next_id: Mutex::new(next_id),
@@ -357,9 +397,11 @@ impl ExperimentService {
     /// Submits a job: the spec is durably persisted *before* this
     /// returns, so an accepted job survives a crash. Fails when the
     /// service is draining (shutdown refuses new work) or the spec
-    /// cannot be persisted. The returned receiver streams one
+    /// cannot be persisted, and refuses a spec that fails
+    /// [`JobSpec::validate`]. The returned receiver streams one
     /// [`JobProgress`] per completed cell.
     pub fn submit(&self, spec: &JobSpec) -> Result<(JobId, mpsc::Receiver<JobProgress>), String> {
+        spec.validate()?;
         if self.draining.load(Ordering::SeqCst) {
             return Err("service is shutting down and not accepting jobs".into());
         }
@@ -419,6 +461,11 @@ impl ExperimentService {
         &self.snapshots
     }
 
+    /// The program-fingerprint memo every job shares.
+    pub fn fingerprints(&self) -> &FingerprintMemo {
+        &self.fingerprints
+    }
+
     /// Whether shutdown has begun (new submissions are refused).
     pub fn is_draining(&self) -> bool {
         self.draining.load(Ordering::SeqCst)
@@ -457,7 +504,11 @@ impl Worker {
                 continue;
             }
             self.table.set(job.id, JobState::Running);
-            let state = self.run_job(&job);
+            // A panicking job fails alone: without this the worker
+            // thread dies with the job `Running`, and every later job
+            // queues forever.
+            let state = panic::catch_unwind(AssertUnwindSafe(|| self.run_job(&job)))
+                .unwrap_or_else(|payload| JobState::Failed(panic_message(payload.as_ref())));
             self.table.set(job.id, state);
             if let Some(max) = self.cache_max_bytes {
                 // Trim after the job's cells (and checkpoint reads)
@@ -488,6 +539,7 @@ impl Worker {
             .seed(spec.seed)
             .cell_store(checkpoint)
             .snapshots(Arc::clone(&self.snapshots))
+            .fingerprints(Arc::clone(&self.fingerprints))
             .cancel_flag(Arc::clone(&self.draining))
             .on_progress(move |event| {
                 if let Some(tx) = &progress {
@@ -522,5 +574,86 @@ impl Worker {
             }
             Err(_interrupted) => JobState::Interrupted,
         }
+    }
+}
+
+/// The message a panicking job died with, for its `Failed` state.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    let message = payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-string panic payload");
+    format!("job panicked: {message}")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A job that panics the sweep — here a duplicate workload that
+    /// skipped [`JobSpec::validate`] — fails alone: the worker survives
+    /// and runs the next job.
+    #[test]
+    fn a_panicking_job_fails_without_killing_the_worker() {
+        let root = std::env::temp_dir().join(format!("fe-serve-panic-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&root);
+        fs::create_dir_all(&root).expect("temp root");
+        let table = Arc::new(JobTable {
+            states: Mutex::new(HashMap::new()),
+            changed: Condvar::new(),
+        });
+        let worker = Worker {
+            jobs_dir: root.clone(),
+            cache: Arc::new(DiskCellStore::open(root.join("cache")).expect("cache dir")),
+            cache_max_bytes: None,
+            snapshots: Arc::new(SnapshotStore::new()),
+            fingerprints: Arc::new(FingerprintMemo::new()),
+            table: Arc::clone(&table),
+            draining: Arc::new(AtomicBool::new(false)),
+        };
+        let good = JobSpec {
+            workloads: vec![JobWorkload {
+                name: "nutch".into(),
+                scale: Some(0.05),
+            }],
+            schemes: vec![SchemeSpec::NoPrefetch],
+            len: RunLength {
+                warmup: 10_000,
+                measure: 20_000,
+            },
+            seed: 3,
+            sampling: None,
+            threads: 1,
+        };
+        let mut bad = good.clone();
+        bad.workloads.push(JobWorkload::named("nutch"));
+        assert!(bad.validate().is_err(), "the service would refuse it");
+
+        let (tx, rx) = mpsc::channel();
+        for (id, spec) in [(1, bad), (2, good)] {
+            tx.send(QueuedJob {
+                id,
+                spec,
+                progress: None,
+            })
+            .expect("receiver alive");
+        }
+        drop(tx);
+        worker.work(rx);
+
+        let states = table.states.lock().unwrap();
+        assert!(
+            matches!(&states[&1], JobState::Failed(e) if e.contains("panicked") && e.contains("duplicate")),
+            "got {:?}",
+            states[&1]
+        );
+        assert!(
+            matches!(states[&2], JobState::Done(_)),
+            "got {:?}",
+            states[&2]
+        );
+        drop(states);
+        let _ = fs::remove_dir_all(&root);
     }
 }

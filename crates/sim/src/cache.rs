@@ -23,10 +23,17 @@
 //! u64 counters are exact and floats use the shortest round-trippable
 //! form). Consolidation mixes bypass the cache: their cells are
 //! interference-coupled and not individually addressable.
+//!
+//! A key needs the program's fingerprint, and building a program costs
+//! milliseconds. A [`FingerprintMemo`] remembers each spec's
+//! fingerprint, so a sweep that shares one across runs resolves its
+//! keys without synthesis and builds only the programs of workloads
+//! that still have a cell to simulate.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
+use fe_cfg::WorkloadSpec;
 use fe_model::MachineConfig;
 use fe_trace::ProgramFingerprint;
 use fe_uarch::FastMap;
@@ -415,6 +422,103 @@ impl CellStore for MemoryCellStore {
     }
 }
 
+/// Most entries a [`FingerprintMemo`] holds; past it the least recently
+/// used spec is forgotten (a forgotten spec only costs one synthesis).
+pub(crate) const FINGERPRINT_MEMO_CAP: usize = 64;
+
+/// Remembers the [`ProgramFingerprint`] each [`WorkloadSpec`]
+/// synthesizes to, so a sweep can resolve its [`CellKey`]s without
+/// building the program — and a workload whose every cell is cached
+/// never builds it at all (see
+/// [`Experiment::fingerprints`](crate::Experiment::fingerprints)).
+///
+/// Keyed by the *full* spec, not its name: a scaled spec keeps its
+/// catalog name but synthesizes a different program. Synthesis is a
+/// pure function of the spec, so a remembered fingerprint is always
+/// the one a fresh build would produce. An entry is one spec and 16
+/// bytes; holding the programs themselves would cost megabytes.
+/// Bounded at 64 entries, least recently used forgotten first, and safe
+/// to share across threads and sweeps.
+#[derive(Default)]
+pub struct FingerprintMemo {
+    /// Least recently used first. A `Vec` compared with `==`, because
+    /// the spec holds `f64`s and has no `Hash`.
+    entries: Mutex<Vec<(WorkloadSpec, ProgramFingerprint)>>,
+    hits: AtomicU64,
+    misses: AtomicU64,
+    built: AtomicU64,
+}
+
+impl FingerprintMemo {
+    /// An empty memo.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    fn entries(&self) -> std::sync::MutexGuard<'_, Vec<(WorkloadSpec, ProgramFingerprint)>> {
+        self.entries
+            .lock()
+            .expect("fingerprint-memo mutex poisoned: a sweep worker panicked")
+    }
+
+    /// The remembered fingerprint of `spec`'s program, counting a hit
+    /// or a miss.
+    pub fn get(&self, spec: &WorkloadSpec) -> Option<ProgramFingerprint> {
+        let mut entries = self.entries();
+        let Some(at) = entries.iter().position(|(s, _)| s == spec) else {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            return None;
+        };
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        let entry = entries.remove(at);
+        let fingerprint = entry.1;
+        entries.push(entry);
+        Some(fingerprint)
+    }
+
+    /// Remembers the fingerprint of a freshly built `spec`, forgetting
+    /// the least recently used entry when the memo is full.
+    pub(crate) fn insert(&self, spec: &WorkloadSpec, fingerprint: ProgramFingerprint) {
+        let mut entries = self.entries();
+        if let Some(at) = entries.iter().position(|(s, _)| s == spec) {
+            entries.remove(at);
+        } else if entries.len() == FINGERPRINT_MEMO_CAP {
+            entries.remove(0);
+        }
+        entries.push((spec.clone(), fingerprint));
+    }
+
+    /// Lookups that found a fingerprint.
+    pub fn hits(&self) -> u64 {
+        self.hits.load(Ordering::Relaxed)
+    }
+
+    /// Lookups that found nothing.
+    pub fn misses(&self) -> u64 {
+        self.misses.load(Ordering::Relaxed)
+    }
+
+    /// Programs the sweeps using this memo synthesized: one per miss,
+    /// plus one per hit whose workload still had a cell to simulate.
+    pub fn programs_built(&self) -> u64 {
+        self.built.load(Ordering::Relaxed)
+    }
+
+    pub(crate) fn note_built(&self) {
+        self.built.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Entries currently remembered.
+    pub fn len(&self) -> usize {
+        self.entries().len()
+    }
+
+    /// Whether the memo remembers nothing.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -520,6 +624,37 @@ mod tests {
                 assert_ne!(prev.address(), k.address());
             }
         }
+    }
+
+    #[test]
+    fn fingerprint_memo_stays_within_its_cap_and_forgets_the_least_recent() {
+        let memo = FingerprintMemo::new();
+        let spec = |seed: u64| WorkloadSpec {
+            seed,
+            ..fe_cfg::workloads::nutch()
+        };
+        let fingerprint = |seed: u64| ProgramFingerprint {
+            blocks: seed,
+            digest: !seed,
+        };
+        let cap = FINGERPRINT_MEMO_CAP as u64;
+        for seed in 0..cap {
+            memo.insert(&spec(seed), fingerprint(seed));
+        }
+        assert_eq!(memo.len(), FINGERPRINT_MEMO_CAP);
+        // Touch the oldest entry, so seed 1 becomes the least recent.
+        assert_eq!(memo.get(&spec(0)), Some(fingerprint(0)));
+        for seed in cap..cap + 10 {
+            memo.insert(&spec(seed), fingerprint(seed));
+            assert_eq!(memo.len(), FINGERPRINT_MEMO_CAP, "never past the cap");
+        }
+        assert_eq!(memo.get(&spec(0)), Some(fingerprint(0)), "recently used");
+        assert_eq!(memo.get(&spec(1)), None, "least recently used, forgotten");
+        assert_eq!(memo.get(&spec(cap + 9)), Some(fingerprint(cap + 9)));
+        // Re-inserting a known spec replaces it instead of growing.
+        memo.insert(&spec(0), fingerprint(0));
+        assert_eq!(memo.len(), FINGERPRINT_MEMO_CAP);
+        assert_eq!((memo.hits(), memo.misses()), (3, 1));
     }
 
     #[test]

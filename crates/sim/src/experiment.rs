@@ -46,7 +46,7 @@ use fe_trace::{ProgramFingerprint, Trace};
 use shotgun::{RegionPolicy, ShotgunConfig};
 
 use crate::batch::BatchSimulator;
-use crate::cache::{CellKey, CellStore, CellValue};
+use crate::cache::{CellKey, CellStore, CellValue, FingerprintMemo};
 use crate::json::{parse, Json};
 use crate::multi::MultiSimulator;
 use crate::runner::{RunLength, SchemeSpec};
@@ -146,6 +146,7 @@ pub struct Experiment {
     sampling: Option<SamplingSpec>,
     cell_store: Option<Arc<dyn CellStore>>,
     snapshots: Option<Arc<SnapshotStore>>,
+    fingerprint_memo: Option<Arc<FingerprintMemo>>,
     cancel: Option<Arc<AtomicBool>>,
 }
 
@@ -171,6 +172,7 @@ impl Experiment {
             sampling: None,
             cell_store: None,
             snapshots: None,
+            fingerprint_memo: None,
             cancel: None,
         }
     }
@@ -281,7 +283,9 @@ impl Experiment {
     /// single-workload cell the sweep consults the store by
     /// [`CellKey`], and every freshly simulated cell is written back.
     /// A fully cached workload skips its executor walk and trace
-    /// recording entirely. Consolidation mixes always simulate.
+    /// recording entirely, and with a [fingerprint
+    /// memo](Self::fingerprints) that already knows its spec it skips
+    /// program synthesis too. Consolidation mixes always simulate.
     pub fn cell_store(mut self, store: Arc<dyn CellStore>) -> Self {
         self.cell_store = Some(store);
         self
@@ -298,6 +302,18 @@ impl Experiment {
         self
     }
 
+    /// Installs a [`FingerprintMemo`]: each workload's cell keys are
+    /// resolved from the fingerprint the memo remembers for its spec,
+    /// and its program is synthesized only when the memo does not know
+    /// the spec or a cell of it has to simulate. Without a memo every
+    /// program is built once per sweep. Reports are byte-identical
+    /// either way; share one memo across sweeps (as fe-serve does for
+    /// its lifetime) so repeated cached sweeps build nothing.
+    pub fn fingerprints(mut self, memo: Arc<FingerprintMemo>) -> Self {
+        self.fingerprint_memo = Some(memo);
+        self
+    }
+
     /// Installs a cooperative cancel flag: once set, workers finish the
     /// cells already in flight (persisting them to the cell store) and
     /// stop claiming new ones, making [`Self::try_run`] return
@@ -309,8 +325,10 @@ impl Experiment {
 
     /// Runs the sweep and derives per-cell metrics.
     ///
-    /// Programs are built once per workload (and per mix member) and
-    /// shared by reference; each single-context workload's retired
+    /// Programs are built at most once per workload (and per distinct
+    /// mix member) and shared by reference — with a [fingerprint
+    /// memo](Self::fingerprints), only for workloads that simulate or
+    /// feed a mix; each single-context workload's retired
     /// stream is then recorded once and replayed into every scheme
     /// cell (see the module docs); cells fan out over scoped worker
     /// threads — a mix runs as one job whose contexts interleave
@@ -345,6 +363,7 @@ impl Experiment {
             sampling,
             cell_store,
             snapshots,
+            fingerprint_memo,
             cancel,
         } = self;
         assert!(
@@ -407,53 +426,6 @@ impl Experiment {
                 .expect("Experiment::run: baseline scheme is not in the scheme list")
         });
 
-        let programs = parallel_indexed(workloads.len(), threads, |i| workloads[i].build());
-        // Mix member programs: build each *distinct* member spec once —
-        // a homogeneous mix shares one build across all its copies, and
-        // a member equal to a single workload reuses its build. Slot
-        // indices below `workloads.len()` point into `programs`, the
-        // rest into `unique_programs`.
-        let mix_member_specs: Vec<&WorkloadSpec> =
-            mixes.iter().flat_map(|m| m.members.iter()).collect();
-        let mut unique_specs: Vec<&WorkloadSpec> = Vec::new();
-        let member_slot: Vec<usize> = mix_member_specs
-            .iter()
-            .map(|spec| {
-                workloads
-                    .iter()
-                    .position(|w| w == *spec)
-                    .or_else(|| {
-                        unique_specs
-                            .iter()
-                            .position(|u| u == spec)
-                            .map(|ui| workloads.len() + ui)
-                    })
-                    .unwrap_or_else(|| {
-                        unique_specs.push(spec);
-                        workloads.len() + unique_specs.len() - 1
-                    })
-            })
-            .collect();
-        let unique_programs =
-            parallel_indexed(unique_specs.len(), threads, |i| unique_specs[i].build());
-        let program_at = |slot: usize| -> &Program {
-            if slot < workloads.len() {
-                &programs[slot]
-            } else {
-                &unique_programs[slot - workloads.len()]
-            }
-        };
-        let mut mix_programs: Vec<Vec<&Program>> = Vec::with_capacity(mixes.len());
-        let mut offset = 0;
-        for mix in &mixes {
-            mix_programs.push(
-                (0..mix.members.len())
-                    .map(|k| program_at(member_slot[offset + k]))
-                    .collect(),
-            );
-            offset += mix.members.len();
-        }
-
         let n_schemes = schemes.len();
         // Mixes run N contexts serially, making them the slowest jobs:
         // claim them first so they never tail the sweep. Results are
@@ -467,11 +439,35 @@ impl Experiment {
         // initial warm. A mix keeps one job per (mix, scheme).
         let jobs = mix_jobs + workloads.len();
 
-        // Cache consult: resolve every single-workload cell's content
-        // address and load whatever the store already holds. Mix cells
-        // are interference-coupled and never cached.
-        let fingerprints: Vec<ProgramFingerprint> =
-            programs.iter().map(ProgramFingerprint::of).collect();
+        // Step 1, fingerprints: a memo hit names a workload's program
+        // without building it; a miss (or no memo) builds it here and
+        // teaches the memo its fingerprint.
+        let memo = fingerprint_memo.as_deref();
+        let build = |spec: &WorkloadSpec| {
+            if let Some(memo) = memo {
+                memo.note_built();
+            }
+            spec.build()
+        };
+        let resolved: Vec<(ProgramFingerprint, Option<Program>)> =
+            parallel_indexed(workloads.len(), threads, |wi| {
+                let spec = &workloads[wi];
+                if let Some(fingerprint) = memo.and_then(|m| m.get(spec)) {
+                    return (fingerprint, None);
+                }
+                let program = build(spec);
+                let fingerprint = ProgramFingerprint::of(&program);
+                if let Some(memo) = memo {
+                    memo.insert(spec, fingerprint);
+                }
+                (fingerprint, Some(program))
+            });
+        let (fingerprints, mut programs): (Vec<ProgramFingerprint>, Vec<Option<Program>>) =
+            resolved.into_iter().unzip();
+
+        // Step 2, cache consult: resolve every single-workload cell's
+        // content address and load whatever the store already holds.
+        // Mix cells are interference-coupled and never cached.
         let keys: Vec<Option<CellKey>> = (0..total)
             .map(|cell| {
                 if cell_store.is_none() || cell < mix_jobs {
@@ -495,6 +491,72 @@ impl Experiment {
                 cell_store.as_ref()?.get(key)
             })
             .collect();
+        let fully_cached: Vec<bool> = (0..workloads.len())
+            .map(|wi| (0..n_schemes).all(|si| cached[mix_jobs + wi * n_schemes + si].is_some()))
+            .collect();
+
+        // Step 3, synthesis of what must simulate: a workload with an
+        // uncached cell, or one whose program a mix member reuses.
+        let mix_member_specs: Vec<&WorkloadSpec> =
+            mixes.iter().flat_map(|m| m.members.iter()).collect();
+        let missing: Vec<usize> = (0..workloads.len())
+            .filter(|&wi| {
+                programs[wi].is_none()
+                    && (!fully_cached[wi] || mix_member_specs.contains(&&workloads[wi]))
+            })
+            .collect();
+        let built = parallel_indexed(missing.len(), threads, |k| build(&workloads[missing[k]]));
+        for (wi, program) in missing.into_iter().zip(built) {
+            programs[wi] = Some(program);
+        }
+        let program_of = |wi: usize| -> &Program {
+            programs[wi]
+                .as_ref()
+                .expect("step 3 builds every workload that simulates or feeds a mix")
+        };
+        // Mix member programs: build each *distinct* member spec once —
+        // a homogeneous mix shares one build across all its copies, and
+        // a member equal to a single workload reuses its build. Slot
+        // indices below `workloads.len()` point into `programs`, the
+        // rest into `unique_programs`.
+        let mut unique_specs: Vec<&WorkloadSpec> = Vec::new();
+        let member_slot: Vec<usize> = mix_member_specs
+            .iter()
+            .map(|spec| {
+                workloads
+                    .iter()
+                    .position(|w| w == *spec)
+                    .or_else(|| {
+                        unique_specs
+                            .iter()
+                            .position(|u| u == spec)
+                            .map(|ui| workloads.len() + ui)
+                    })
+                    .unwrap_or_else(|| {
+                        unique_specs.push(spec);
+                        workloads.len() + unique_specs.len() - 1
+                    })
+            })
+            .collect();
+        let unique_programs =
+            parallel_indexed(unique_specs.len(), threads, |i| build(unique_specs[i]));
+        let program_at = |slot: usize| -> &Program {
+            if slot < workloads.len() {
+                program_of(slot)
+            } else {
+                &unique_programs[slot - workloads.len()]
+            }
+        };
+        let mut mix_programs: Vec<Vec<&Program>> = Vec::with_capacity(mixes.len());
+        let mut offset = 0;
+        for mix in &mixes {
+            mix_programs.push(
+                (0..mix.members.len())
+                    .map(|k| program_at(member_slot[offset + k]))
+                    .collect(),
+            );
+            offset += mix.members.len();
+        }
 
         // Record once, replay many: one executor walk per workload
         // feeds every scheme cell. Recorded length covers the run plus
@@ -503,18 +565,8 @@ impl Experiment {
         // walk and the recording entirely.
         let needed_instrs = len.trace_instrs(&machine);
         let traces: Vec<Option<Trace>> = parallel_indexed(workloads.len(), threads, |wi| {
-            let all_cached =
-                (0..n_schemes).all(|si| cached[mix_jobs + wi * n_schemes + si].is_some());
-            if all_cached {
-                None
-            } else {
-                Some(obtain_trace(
-                    &programs[wi],
-                    seed,
-                    needed_instrs,
-                    trace_dir.as_deref(),
-                ))
-            }
+            (!fully_cached[wi])
+                .then(|| obtain_trace(program_of(wi), seed, needed_instrs, trace_dir.as_deref()))
         });
 
         let completed = AtomicUsize::new(0);
@@ -582,7 +634,7 @@ impl Experiment {
                         .as_ref()
                         .expect("trace recorded for every workload with uncached cells");
                     let mut batch =
-                        BatchSimulator::new(&programs[wi], machine.clone(), trace, seed, sampling);
+                        BatchSimulator::new(program_of(wi), machine.clone(), trace, seed, sampling);
                     if let Some(store) = snapshots.as_deref() {
                         batch = batch.with_snapshots(store);
                     }

@@ -28,6 +28,12 @@
 //! sampled sweep's initial warm; each one-cell wrapper builds its one
 //! simulator directly.
 //!
+//! [`Experiment::cell_store`] serves repeated cells from a
+//! content-addressed [`CellStore`] (see the [`cache`] module). With a
+//! [`FingerprintMemo`] installed as well ([`Experiment::fingerprints`]),
+//! a workload's cell keys resolve without synthesizing its program, and
+//! only workloads with a cell left to simulate build one.
+//!
 //! ```no_run
 //! use fe_cfg::workloads;
 //! use fe_model::MachineConfig;
@@ -60,7 +66,9 @@ pub use batch::{
     run_schemes_batch_replayed, run_schemes_batch_sampled_replayed, BatchSimulator, SharedCursor,
     SharedWindow,
 };
-pub use cache::{config_hash, CellKey, CellStore, CellValue, MemoryCellStore, ENGINE_VERSION};
+pub use cache::{
+    config_hash, CellKey, CellStore, CellValue, FingerprintMemo, MemoryCellStore, ENGINE_VERSION,
+};
 pub use engine::{EngineScheme, SchemeKind, Simulator};
 pub use experiment::{
     scheme_from_json, scheme_to_json, CellMetrics, Experiment, Interrupted, ProgressEvent,

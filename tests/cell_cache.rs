@@ -1,22 +1,23 @@
 //! Content-addressed cell cache invariants: structural config hashing
 //! (field order and JSON round-trips must not change a key), engine
-//! versioning (a bumped engine invalidates every entry), and
-//! cache-backed sweeps (served results byte-identical to computed
-//! ones, with repeated sweeps recomputing nothing).
+//! versioning (a bumped engine invalidates every entry), cache-backed
+//! sweeps (served results byte-identical to computed ones, with
+//! repeated sweeps recomputing nothing), and the fingerprint memo (a
+//! fully cached workload with a known spec builds no program).
 //!
-//! Every assertion reads evidence of its own run only — the store's
-//! counters and the sweep's own trace directory — so the tests hold
-//! under the default parallel test runner.
+//! Every assertion reads evidence of its own run only — the store's and
+//! memo's counters and the sweep's own trace directory — so the tests
+//! hold under the default parallel test runner.
 
 use std::sync::Arc;
 
-use fe_cfg::workloads;
+use fe_cfg::{workloads, MixSpec};
 use fe_model::MachineConfig;
 use fe_sim::cache::cell_config_json;
 use fe_sim::json::{self, Json};
 use fe_sim::{
-    config_hash, CellKey, CellStore, Experiment, MemoryCellStore, ProgramFingerprint, RunLength,
-    SamplingSpec, SchemeSpec,
+    config_hash, CellKey, CellStore, Experiment, FingerprintMemo, MemoryCellStore,
+    ProgramFingerprint, RunLength, SamplingSpec, SchemeSpec,
 };
 use proptest::prelude::*;
 use shotgun::ShotgunConfig;
@@ -242,4 +243,171 @@ fn cached_sampled_sweep_is_byte_identical() {
     for cell in &warm.cells {
         assert!(cell.sampling.is_some(), "sampled cells keep their summary");
     }
+}
+
+const MEMO_LEN: RunLength = RunLength {
+    warmup: 20_000,
+    measure: 50_000,
+};
+
+/// One small full-detail sweep of `workloads`, optionally backed by a
+/// cell store and a fingerprint memo.
+fn memo_sweep(
+    workloads: &[fe_cfg::WorkloadSpec],
+    schemes: &[SchemeSpec],
+    store: Option<&Arc<MemoryCellStore>>,
+    memo: Option<&Arc<FingerprintMemo>>,
+) -> Experiment {
+    let mut sweep = Experiment::new(MachineConfig::table3())
+        .workloads(workloads.iter().cloned())
+        .schemes(schemes.iter().cloned())
+        .len(MEMO_LEN)
+        .seed(9)
+        .threads(2);
+    if let Some(store) = store {
+        sweep = sweep.cell_store(Arc::clone(store) as Arc<dyn CellStore>);
+    }
+    if let Some(memo) = memo {
+        sweep = sweep.fingerprints(Arc::clone(memo));
+    }
+    sweep
+}
+
+/// With a memo that knows the spec and a store that holds every cell,
+/// a sweep builds no program — and still serves the computed bytes.
+#[test]
+fn fingerprint_memo_skips_synthesis_of_fully_cached_workloads() {
+    let nutch = [workloads::nutch().scaled(0.05)];
+    let schemes = [SchemeSpec::NoPrefetch, SchemeSpec::shotgun()];
+    let computed = memo_sweep(&nutch, &schemes, None, None).run().to_json();
+    let store = Arc::new(MemoryCellStore::new());
+    let memo = Arc::new(FingerprintMemo::new());
+
+    let cold = memo_sweep(&nutch, &schemes, Some(&store), Some(&memo)).run();
+    assert_eq!(
+        (memo.misses(), memo.hits()),
+        (1, 0),
+        "cold memo misses once"
+    );
+    assert_eq!(memo.programs_built(), 1, "the miss builds the program");
+    assert_eq!(cold.to_json(), computed);
+
+    for repeat in 1..=2 {
+        let warm = memo_sweep(&nutch, &schemes, Some(&store), Some(&memo)).run();
+        assert_eq!((memo.misses(), memo.hits()), (1, repeat), "then it hits");
+        assert_eq!(
+            memo.programs_built(),
+            1,
+            "a fully cached workload with a known spec builds nothing"
+        );
+        assert_eq!(
+            warm.to_json(),
+            computed,
+            "served from memo and store, the report is byte-identical to a computed one"
+        );
+    }
+}
+
+/// A memo hit does not excuse a workload with an uncached cell from
+/// synthesis: it still builds, simulates the missing cell, and matches.
+#[test]
+fn fingerprint_memo_still_builds_partially_cached_workloads() {
+    let nutch = [workloads::nutch().scaled(0.05)];
+    let schemes = [SchemeSpec::NoPrefetch, SchemeSpec::shotgun()];
+    let store = Arc::new(MemoryCellStore::new());
+    let memo = Arc::new(FingerprintMemo::new());
+    memo_sweep(&nutch, &schemes[..1], Some(&store), Some(&memo)).run();
+    assert_eq!(memo.programs_built(), 1);
+
+    let partial = memo_sweep(&nutch, &schemes, Some(&store), Some(&memo)).run();
+    assert_eq!(memo.hits(), 1, "the spec is known");
+    assert_eq!(
+        memo.programs_built(),
+        2,
+        "the uncached cell needs the program"
+    );
+    assert_eq!(
+        (store.hits(), store.puts()),
+        (1, 2),
+        "one served, one computed"
+    );
+    assert_eq!(
+        partial.to_json(),
+        memo_sweep(&nutch, &schemes, None, None).run().to_json()
+    );
+}
+
+/// A fully cached workload whose program a mix member reuses still
+/// builds it: mixes always simulate.
+#[test]
+fn fingerprint_memo_builds_programs_mixes_reuse() {
+    let nutch = [workloads::nutch().scaled(0.05)];
+    let schemes = [SchemeSpec::NoPrefetch, SchemeSpec::shotgun()];
+    let mix = MixSpec::homogeneous(nutch[0].clone(), 2);
+    let store = Arc::new(MemoryCellStore::new());
+    let memo = Arc::new(FingerprintMemo::new());
+    memo_sweep(&nutch, &schemes, Some(&store), Some(&memo)).run();
+
+    let with_mix = memo_sweep(&nutch, &schemes, Some(&store), Some(&memo))
+        .mix(mix.clone())
+        .run();
+    assert_eq!(store.hits(), 2, "the single workload's cells are served");
+    assert_eq!(memo.programs_built(), 2, "the mix needs the program again");
+    assert_eq!(
+        with_mix.to_json(),
+        memo_sweep(&nutch, &schemes, None, None)
+            .mix(mix)
+            .run()
+            .to_json()
+    );
+}
+
+/// The memo keys by the whole spec: a scaled spec keeps its catalog
+/// name but is a different program.
+#[test]
+fn fingerprint_memo_tells_scales_of_one_name_apart() {
+    let memo = Arc::new(FingerprintMemo::new());
+    let small = workloads::nutch().scaled(0.05);
+    let large = workloads::nutch().scaled(0.1);
+    assert_eq!(small.name, large.name);
+    for spec in [&small, &large] {
+        memo_sweep(
+            std::slice::from_ref(spec),
+            &[SchemeSpec::NoPrefetch],
+            None,
+            Some(&memo),
+        )
+        .run();
+    }
+    assert_eq!((memo.misses(), memo.hits(), memo.len()), (2, 0, 2));
+    assert_ne!(memo.get(&small), memo.get(&large));
+}
+
+/// Every fingerprint the memo learns from a sweep is the one a fresh
+/// build of the spec produces.
+#[test]
+fn fingerprint_memo_matches_fresh_builds_for_the_catalog() {
+    let memo = Arc::new(FingerprintMemo::new());
+    for scale in [1.0, 0.2] {
+        let specs: Vec<_> = workloads::all().iter().map(|w| w.scaled(scale)).collect();
+        Experiment::new(MachineConfig::table3())
+            .workloads(specs.iter().cloned())
+            .scheme(SchemeSpec::NoPrefetch)
+            .len(RunLength {
+                warmup: 1_000,
+                measure: 2_000,
+            })
+            .seed(9)
+            .fingerprints(Arc::clone(&memo))
+            .run();
+        for spec in &specs {
+            assert_eq!(
+                memo.get(spec),
+                Some(ProgramFingerprint::of(&spec.build())),
+                "{} at scale {scale}",
+                spec.name
+            );
+        }
+    }
+    assert_eq!(memo.len(), 2 * workloads::all().len());
 }

@@ -157,3 +157,70 @@ fn malformed_submissions_are_refused_politely() {
     drop(service);
     let _ = std::fs::remove_dir_all(&root);
 }
+
+/// A job that names one workload twice (a scaled copy keeps its catalog
+/// name) or one scheme twice used to panic the worker and wedge the
+/// queue. Both are now refused at submission, and the service runs the
+/// next job.
+#[test]
+fn duplicate_workloads_or_schemes_are_refused_and_the_next_job_runs() {
+    let root = tmp_root("dup");
+    let service = ExperimentService::open(&root).expect("opens");
+    let mut dup_workload = small_job();
+    dup_workload.workloads = vec![
+        JobWorkload::named("nutch"),
+        JobWorkload {
+            name: "nutch".into(),
+            scale: Some(0.05),
+        },
+    ];
+    let mut dup_scheme = small_job();
+    dup_scheme.schemes = vec![SchemeSpec::NoPrefetch, SchemeSpec::NoPrefetch];
+    for (bad, what) in [(dup_workload, "nutch"), (dup_scheme, "no-prefetch")] {
+        let err = service.submit(&bad).expect_err("duplicate must be refused");
+        assert!(
+            err.contains("duplicate") && err.contains(what),
+            "refusal must name the duplicate: {err}"
+        );
+        let err = JobSpec::from_json(&bad.to_json()).expect_err("the wire path refuses it too");
+        assert!(err.contains("duplicate"), "{err}");
+    }
+    assert!(
+        !root.join("jobs").join("1.json").exists(),
+        "a refused spec is never persisted"
+    );
+
+    let (id, _progress) = service.submit(&small_job()).expect("accepts");
+    let state = service.wait(id).expect("job tracked");
+    assert!(
+        matches!(&state, JobState::Done(report) if report.as_str() == control_report()),
+        "the next job completes, got {state:?}"
+    );
+    drop(service);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// The service hands one fingerprint memo to every job: a resubmitted
+/// job whose cells are all cached builds no program.
+#[test]
+fn cached_resubmission_builds_no_program() {
+    let root = tmp_root("memo");
+    let service = ExperimentService::open(&root).expect("opens");
+    let spec = small_job();
+    let run = || {
+        let (id, _progress) = service.submit(&spec).expect("accepts");
+        match service.wait(id) {
+            Some(JobState::Done(report)) => report,
+            other => panic!("job must complete, got {other:?}"),
+        }
+    };
+    let cold = run();
+    let memo = service.fingerprints();
+    assert_eq!((memo.misses(), memo.programs_built()), (2, 2));
+    let warm = run();
+    assert_eq!(memo.hits(), 2, "both specs are known");
+    assert_eq!(memo.programs_built(), 2, "the cached job builds nothing");
+    assert_eq!(warm, cold, "served bytes equal computed bytes");
+    drop(service);
+    let _ = std::fs::remove_dir_all(&root);
+}

@@ -1,6 +1,7 @@
 //! `fe-serve` over TCP against a live daemon core: a repeated
 //! submission must be a 100% cache hit with a report byte-identical to
-//! the computed one, and an idle server must stop when asked.
+//! the computed one, a malformed job must be refused without wedging
+//! the daemon, and an idle server must stop when asked.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
@@ -60,6 +61,18 @@ fn tcp_round_trip_serves_second_submission_from_cache() {
         "served report must be byte-identical to the computed one"
     );
     assert!(second.job_id > first.job_id);
+
+    // A duplicate scheme is refused with an error frame, and the daemon
+    // serves the next job.
+    let mut duplicate = spec.clone();
+    duplicate.schemes = vec![SchemeSpec::NoPrefetch, SchemeSpec::NoPrefetch];
+    let err = submit_job(&addr, &duplicate).expect_err("duplicate scheme refused");
+    assert!(
+        err.to_string().contains("duplicate scheme"),
+        "the refusal must say why: {err}"
+    );
+    let third = submit_job(&addr, &spec).expect("the daemon still serves");
+    assert_eq!(third.report, first.report);
 
     stop.store(true, Ordering::SeqCst);
     server_thread.join().expect("server drains");
