@@ -1,10 +1,13 @@
 //! Multi-context consolidation through the `Experiment` API: mix cells
 //! must be deterministic at any thread count, keyed by member id, and
 //! derive speedups against the *same context* of the baseline run.
+//! The sweep's report is pinned to bytes by a fixture.
 
 use fe_cfg::{workloads, MixSpec};
 use fe_model::MachineConfig;
 use fe_sim::{Experiment, RunLength, SchemeSpec};
+
+const PINNED_MIX: &str = include_str!("fixtures/pinned_mix_sweep.json");
 
 const LEN: RunLength = RunLength {
     warmup: 40_000,
@@ -24,6 +27,15 @@ fn sweep(threads: usize) -> fe_sim::SweepReport {
         .seed(0x5407)
         .threads(threads)
         .run()
+}
+
+#[test]
+fn mix_sweep_reproduces_its_pinned_json_bytes() {
+    assert_eq!(
+        sweep(1).to_json(),
+        PINNED_MIX,
+        "consolidation sweep diverged from its pinned report"
+    );
 }
 
 #[test]

@@ -3,18 +3,24 @@
 //! loop. The fixture was emitted by the monolith for a pinned
 //! (workload, schemes, length, seed) cell; any change to stage
 //! ordering, stall accounting, RNG streams, or JSON shape shows up as
-//! a byte diff here.
+//! a byte diff here. A second fixture pins a sampled sweep the same
+//! way: its cells share an initial warm, so the sampled driver, the
+//! shared warm and snapshot restores are pinned to bytes too.
+
+use std::sync::Arc;
 
 use fe_cfg::{workloads, Executor, Program};
 use fe_model::{MachineConfig, SimStats};
 use fe_sim::{
-    run_scheme, Experiment, RunLength, SamplingSpec, SchemeSpec, Simulator, SourceKind, SweepReport,
+    run_scheme, Experiment, RunLength, SamplingSpec, SchemeSpec, Simulator, SnapshotStore,
+    SourceKind, SweepReport,
 };
 use fe_trace::{Trace, TraceStore};
 use fe_uarch::MemorySystem;
 use proptest::prelude::*;
 
 const PINNED: &str = include_str!("fixtures/pinned_nutch_smoke.json");
+const PINNED_SAMPLED: &str = include_str!("fixtures/pinned_sampled_sweep.json");
 
 fn pinned_report() -> SweepReport {
     Experiment::new(MachineConfig::table3())
@@ -38,6 +44,57 @@ fn refactored_pipeline_reproduces_pre_refactor_json_bytes() {
         PINNED,
         "staged pipeline diverged from the pre-refactor engine on the pinned cell"
     );
+}
+
+/// Two workloads × four schemes, sampled: each workload's cells share
+/// one initial warm (one leader, three riders). With a snapshot store
+/// the first sweep captures every cell's warmed state and the second
+/// restores it.
+fn pinned_sampled_sweep(snapshots: Option<&Arc<SnapshotStore>>) -> String {
+    let mut sweep = Experiment::new(MachineConfig::table3())
+        .workloads([
+            workloads::nutch().scaled(0.1),
+            workloads::zeus().scaled(0.1),
+        ])
+        .schemes([
+            SchemeSpec::NoPrefetch,
+            SchemeSpec::boomerang(),
+            SchemeSpec::Confluence,
+            SchemeSpec::shotgun(),
+        ])
+        .len(RunLength {
+            warmup: 60_000,
+            measure: 300_000,
+        })
+        .sampling(SamplingSpec {
+            interval: 50_000,
+            detail: 10_000,
+            warmup: 10_000,
+        })
+        .seed(0x5407)
+        .threads(1);
+    if let Some(store) = snapshots {
+        sweep = sweep.snapshots(Arc::clone(store));
+    }
+    sweep.run().to_json()
+}
+
+#[test]
+fn sampled_sweep_reproduces_its_pinned_json_bytes() {
+    assert_eq!(
+        pinned_sampled_sweep(None),
+        PINNED_SAMPLED,
+        "sampled sweep diverged from its pinned report"
+    );
+    let store = Arc::new(SnapshotStore::new());
+    for pass in ["capturing", "restoring"] {
+        assert_eq!(
+            pinned_sampled_sweep(Some(&store)),
+            PINNED_SAMPLED,
+            "sampled sweep {pass} snapshots diverged from its pinned report"
+        );
+    }
+    assert_eq!(store.hits(), 8, "the second sweep restores every cell");
 }
 
 #[test]
