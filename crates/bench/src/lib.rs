@@ -2,8 +2,9 @@
 //! # fe-bench — the experiment harness
 //!
 //! One binary per table/figure of the paper's evaluation (see the
-//! experiment index in the repository README), plus std-only
-//! throughput benchmarks of the core structures. Shared setup lives
+//! experiment index in the repository README), plus the `perf` and
+//! `serve` harnesses. Per-structure timings live in the repository's
+//! `perfbench/` benchmark. Shared setup lives
 //! here: every binary builds its sweep through [`experiment`], which
 //! preconfigures the [`Experiment`] session API with the Table 3
 //! machine, the Table 2 workload suite, and the evaluation seed.

@@ -173,9 +173,10 @@ impl JobSpec {
 
     /// Checks everything [`Experiment::run`] would otherwise panic on:
     /// at least one workload and one scheme, catalog workload names,
-    /// positive finite scales, a valid sampling shape, and no two
-    /// workloads with the same name or schemes with the same label
-    /// (report cells are keyed by both).
+    /// positive finite scales, a valid sampling shape with room for one
+    /// detail window in the measured length, and no two workloads with
+    /// the same name or schemes with the same label (report cells are
+    /// keyed by both).
     pub fn validate(&self) -> Result<(), String> {
         if self.workloads.is_empty() || self.schemes.is_empty() {
             return Err("job needs at least one workload and one scheme".into());
@@ -206,6 +207,13 @@ impl JobSpec {
         }
         if let Some(sampling) = &self.sampling {
             sampling.validate()?;
+            if self.len.measure < sampling.detail {
+                return Err(format!(
+                    "sampled job measures {} instructions — too short for even one \
+                     {}-instruction detail window",
+                    self.len.measure, sampling.detail,
+                ));
+            }
         }
         Ok(())
     }

@@ -2,15 +2,14 @@
 //! per-cycle orchestrator over the staged pipeline in
 //! `crate::pipeline` (see that private module's docs for the
 //! stage-by-stage model and the README's "Simulator pipeline"
-//! diagram) — and the one run driver every run goes through.
+//! diagram) — and the full-detail run driver.
 //!
-//! The driver is a state machine (`Phase`): full-detail runs pass
-//! through timed warmup and measurement, sampled runs through the
-//! initial functional warm (or a seek past a restored warm) and the
-//! interval loop. [`Simulator::run`] and [`Simulator::run_sampled`] set
-//! a phase and drive it to completion; the [batch engine](crate::batch)
-//! drives each of its cells through the very same steps, one cell after
-//! another. Every tick first tries to skip a provably quiet span, a
+//! A run is straight-line code. [`Simulator::run`] ticks through the
+//! timed warmup, starts measurement, ticks through the measured window
+//! and finalizes; [`Simulator::run_sampled`] (in the
+//! [`sampling`](crate::sampling) module) warms functionally and then
+//! loops over intervals with the same tick loop under each timed
+//! window. Every tick first tries to skip a provably quiet span, a
 //! bit-exact acceleration that is always on.
 //! [`MultiSimulator`](crate::MultiSimulator) keeps its own per-cycle
 //! lockstep loop (its contexts share memory every cycle) and ticks
@@ -24,43 +23,9 @@ use fe_uarch::{MemStats, MemorySystem};
 use crate::pipeline::{
     backend::Backend, bpu::Bpu, fetch::FetchUnit, stall, PipelineState, SUPPLY_CAP,
 };
-use crate::sampling::SamplingSpec;
-use crate::snapshot::{SnapshotKey, SnapshotStore};
 use crate::source::SourceKind;
 
 pub use crate::pipeline::{EngineScheme, SchemeKind};
-
-/// Where a snapshot-enabled sampled run stores its warmed state.
-pub(crate) type SnapshotSlot<'p> = Option<(&'p SnapshotStore, SnapshotKey)>;
-
-/// Where a run is: the warm / measure / interval control flow unrolled
-/// into a state machine (see [`Simulator::drive`]).
-#[derive(Clone, Copy)]
-pub(crate) enum Phase<'p> {
-    /// No run configured, or the run has finished.
-    Done,
-    /// Full detail: timed warmup until `retired_total` reaches `until`.
-    Warmup { until: u64, measure: u64 },
-    /// Full detail: measuring until `retired_total` reaches `end`.
-    Measure { end: u64 },
-    /// Sampled: the initial functional warm of `warmup` instructions.
-    /// On completion the warmed state is put into `snapshot`, when set.
-    InitWarm {
-        warmup: u64,
-        measure: u64,
-        spec: SamplingSpec,
-        snapshot: SnapshotSlot<'p>,
-    },
-    /// Sampled: a restored warm already installed the warmed state;
-    /// fast-forward `warmed` instructions past the warmed prefix.
-    Seek {
-        warmed: u64,
-        measure: u64,
-        spec: SamplingSpec,
-    },
-    /// Sampled: the interval loop, one whole interval per step.
-    Intervals { end: u64, spec: SamplingSpec },
-}
 
 /// The simulator for one core running one workload under one scheme:
 /// the orchestrator that ticks the pipeline stages in order each cycle.
@@ -75,10 +40,6 @@ pub struct Simulator<'p> {
     base_cycle: u64,
     base_scheme_misses: u64,
     base_scheme_lookups: u64,
-    pub(crate) phase: Phase<'p>,
-    /// The run's measured windows: the one full-detail window, or every
-    /// sampled interval that retired anything.
-    pub(crate) measured: Vec<SimStats>,
 }
 
 impl<'p> Simulator<'p> {
@@ -148,8 +109,6 @@ impl<'p> Simulator<'p> {
             base_cycle: 0,
             base_scheme_misses: 0,
             base_scheme_lookups: 0,
-            phase: Phase::Done,
-            measured: Vec::new(),
         }
     }
 
@@ -160,52 +119,12 @@ impl<'p> Simulator<'p> {
     /// run completes ends the run early with the statistics measured so
     /// far — check [`Self::source_exhausted`] — rather than panicking.
     pub fn run(&mut self, warmup: u64, measure: u64) -> SimStats {
-        self.start_full(warmup, measure);
-        self.drive();
-        self.measured
-            .pop()
-            .expect("a finished full-detail run holds its measured window")
-    }
-
-    /// Arms a full-detail run: timed warmup until `warmup` instructions
-    /// have retired, then `measure` measured instructions.
-    pub(crate) fn start_full(&mut self, warmup: u64, measure: u64) {
-        self.measured.clear();
-        self.phase = Phase::Warmup {
-            until: warmup,
-            measure,
-        };
-    }
-
-    /// The driver: advances the armed run to completion.
-    pub(crate) fn drive(&mut self) {
-        loop {
-            match self.phase {
-                Phase::Done => return,
-                Phase::Warmup { until, measure } => {
-                    self.tick_until(until);
-                    self.begin_measurement();
-                    // Measure relative to the actual measurement start
-                    // (warmup may overshoot by a partial retire-width).
-                    let end = self.state.retired_total + measure;
-                    self.phase = Phase::Measure { end };
-                }
-                Phase::Measure { end } => {
-                    self.tick_until(end);
-                    let stats = self.finalize();
-                    self.measured.push(stats);
-                    self.phase = Phase::Done;
-                }
-                Phase::InitWarm { .. } | Phase::Seek { .. } => self.init_warm(&mut []),
-                Phase::Intervals { end, spec } => {
-                    if self.state.retired_total >= end || self.state.stream_ended() {
-                        self.phase = Phase::Done;
-                    } else {
-                        self.step_interval(end, spec);
-                    }
-                }
-            }
-        }
+        self.tick_until(warmup);
+        self.begin_measurement();
+        // Measure relative to the actual measurement start (warmup may
+        // overshoot by a partial retire-width).
+        self.tick_until(self.state.retired_total + measure);
+        self.finalize()
     }
 
     /// Ticks until `retired_total` reaches `limit` or the stream ends.
@@ -506,6 +425,7 @@ impl<'p> Simulator<'p> {
 mod tests {
     use super::*;
     use crate::pipeline::SUPPLY_CAP;
+    use crate::sampling::SamplingSpec;
     use fe_cfg::{LayerSpec, WorkloadSpec};
 
     fn program() -> Program {

@@ -45,12 +45,12 @@ use fe_model::{MachineConfig, SimStats};
 use fe_trace::{ProgramFingerprint, Trace};
 use shotgun::{RegionPolicy, ShotgunConfig};
 
-use crate::batch::BatchSimulator;
+use crate::batch::run_sampled_group;
 use crate::cache::{CellKey, CellStore, CellValue, FingerprintMemo};
 use crate::json::{parse, Json};
 use crate::multi::MultiSimulator;
-use crate::runner::{RunLength, SchemeSpec};
-use crate::sampling::{CellSampling, MeanCi, SampledStats, SamplingSpec};
+use crate::runner::{run_full, simulator, RunLength, SchemeSpec};
+use crate::sampling::{CellSampling, MeanCi, SamplingSpec};
 use crate::snapshot::SnapshotStore;
 
 /// A sweep stopped by its cancel flag before every cell completed (see
@@ -384,6 +384,13 @@ impl Experiment {
                 // audit-allow(no-unchecked-panic): sweep-configuration contract — an invalid sampling spec is a caller bug caught before any cell runs
                 panic!("Experiment::run: invalid sampling spec: {e}");
             }
+            assert!(
+                len.measure >= spec.detail,
+                "Experiment::run: sampled cells measure {} instructions — too short for even \
+                 one {}-instruction detail window",
+                len.measure,
+                spec.detail,
+            );
         }
 
         let labels: Vec<String> = schemes.iter().map(|s| s.label()).collect();
@@ -434,9 +441,10 @@ impl Experiment {
         // Total *cells* — what progress events and `Interrupted` count.
         let total = mix_jobs + workloads.len() * n_schemes;
         // A single-context workload is ONE job covering all its scheme
-        // cells: its uncached cells run one after another as a batch
-        // (see the `batch` module), which shares a sampled sweep's
-        // initial warm. A mix keeps one job per (mix, scheme).
+        // cells: its uncached cells run one after another, a
+        // full-detail cell as a one-cell run and a sampled group with
+        // one shared initial warm (see the `batch` module). A mix keeps
+        // one job per (mix, scheme).
         let jobs = mix_jobs + workloads.len();
 
         // Step 1, fingerprints: a memo hit names a workload's program
@@ -629,34 +637,52 @@ impl Experiment {
                         None => uncached.push(si),
                     }
                 }
-                if !uncached.is_empty() {
-                    let trace = traces[wi]
-                        .as_ref()
-                        .expect("trace recorded for every workload with uncached cells");
-                    let mut batch =
-                        BatchSimulator::new(program_of(wi), machine.clone(), trace, seed, sampling);
-                    if let Some(store) = snapshots.as_deref() {
-                        batch = batch.with_snapshots(store);
-                    }
-                    for &si in &uncached {
-                        batch.add_cell(&schemes[si], len);
-                    }
-                    batch.run_each(|k, mut windows| {
-                        let si = uncached[k];
-                        let cell = match sampling {
-                            Some(_) => {
-                                let sampled = SampledStats {
-                                    intervals: windows,
-                                    truncated: false,
-                                };
-                                (sampled.aggregate(), Some(CellSampling::of(&sampled)))
+                let mut finish = |si: usize, cell: CellResult| {
+                    store_cell(mix_jobs + wi * n_schemes + si, &cell);
+                    cells[si] = Some(cell);
+                    emit(name, si, false);
+                };
+                // Only a workload with an uncached cell has a trace.
+                if let Some(trace) = &traces[wi] {
+                    let program = program_of(wi);
+                    match sampling {
+                        None => {
+                            for &si in &uncached {
+                                let sim = simulator(
+                                    program,
+                                    trace.replayer(),
+                                    &schemes[si],
+                                    &machine,
+                                    seed,
+                                );
+                                finish(si, (run_full(sim, len), None));
                             }
-                            None => (windows.remove(0), None),
-                        };
-                        store_cell(mix_jobs + wi * n_schemes + si, &cell);
-                        cells[si] = Some(cell);
-                        emit(name, si, false);
-                    });
+                        }
+                        Some(spec) => {
+                            let group: Vec<SchemeSpec> =
+                                uncached.iter().map(|&si| schemes[si].clone()).collect();
+                            run_sampled_group(
+                                program,
+                                trace,
+                                &machine,
+                                seed,
+                                len,
+                                spec,
+                                &group,
+                                snapshots.as_deref(),
+                                |k, sampled| {
+                                    assert!(
+                                        !sampled.truncated,
+                                        "sampled cell `{}` ran dry mid-run — record at least \
+                                         RunLength::trace_instrs instructions",
+                                        group[k].label(),
+                                    );
+                                    let summary = Some(CellSampling::of(&sampled));
+                                    finish(uncached[k], (sampled.aggregate(), summary));
+                                },
+                            );
+                        }
+                    }
                 }
                 cells
                     .into_iter()

@@ -167,11 +167,18 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
-/// Parses a JSON document.
+/// Deepest array/object nesting [`parse`] accepts. Reports, job specs
+/// and bench files nest a handful of levels; the cap keeps a hostile
+/// document from overflowing the recursive parser's stack.
+const MAX_DEPTH: usize = 64;
+
+/// Parses a JSON document. Nesting deeper than 64 arrays/objects is a
+/// parse error.
 pub fn parse(text: &str) -> Result<Json, String> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -185,6 +192,8 @@ pub fn parse(text: &str) -> Result<Json, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects open around the current position.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -226,11 +235,23 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a value")),
         }
+    }
+
+    /// Parses an array or object one level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Json, String> {
@@ -406,6 +427,23 @@ mod tests {
         ]);
         let text = doc.render();
         assert_eq!(parse(&text).unwrap(), doc);
+    }
+
+    #[test]
+    fn nesting_is_capped_instead_of_overflowing_the_stack() {
+        let nest = |open: &str, close: &str, levels: usize| {
+            format!("{}0{}", open.repeat(levels), close.repeat(levels))
+        };
+        assert!(parse(&nest("[", "]", MAX_DEPTH)).is_ok());
+        assert!(parse(&nest("{\"a\":", "}", MAX_DEPTH)).is_ok());
+        for levels in [MAX_DEPTH + 1, 100_000] {
+            for (open, close) in [("[", "]"), ("{\"a\":", "}")] {
+                let err = parse(&nest(open, close, levels)).expect_err("too deep");
+                assert!(err.contains("nesting deeper than"), "{err}");
+            }
+        }
+        // Unclosed, as a hostile frame would send it.
+        assert!(parse(&"[".repeat(100_000)).is_err());
     }
 
     #[test]

@@ -21,12 +21,13 @@
 //! remain for single measurements.
 //!
 //! Every run takes the same path: one [`Simulator`] per cell, reading
-//! its own source and advancing through the one run driver (see the
-//! [`engine`] module) with quiet-span skipping always on. A sweep
-//! workload's uncached cells run one after another as a
-//! [`BatchSimulator`] over the recorded trace, which shares only a
-//! sampled sweep's initial warm; each one-cell wrapper builds its one
-//! simulator directly.
+//! its own source, with quiet-span skipping always on. A run is
+//! straight-line code: [`Simulator::run`] for full detail (see the
+//! [`engine`] module), [`Simulator::run_sampled`] for interval
+//! sampling. A sweep workload's uncached cells run one after another
+//! over the recorded trace: each full-detail cell as a one-cell run,
+//! and a sampled group with one shared initial warm (see the [`batch`]
+//! module).
 //!
 //! [`Experiment::cell_store`] serves repeated cells from a
 //! content-addressed [`CellStore`] (see the [`cache`] module). With a
@@ -63,8 +64,7 @@ pub mod snapshot;
 pub mod source;
 
 pub use batch::{
-    run_schemes_batch_replayed, run_schemes_batch_sampled_replayed, BatchSimulator, SharedCursor,
-    SharedWindow,
+    run_schemes_batch_replayed, run_schemes_batch_sampled_replayed, SharedCursor, SharedWindow,
 };
 pub use cache::{
     config_hash, CellKey, CellStore, CellValue, FingerprintMemo, MemoryCellStore, ENGINE_VERSION,

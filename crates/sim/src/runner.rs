@@ -225,14 +225,15 @@ pub(crate) fn simulator<'p>(
     )
 }
 
-/// The full-detail run behind every one-cell wrapper.
+/// The full-detail run behind every one-cell wrapper and every
+/// full-detail sweep cell.
 ///
 /// # Panics
 ///
 /// Panics if the source ran dry mid-run (the pipeline itself degrades
 /// a truncated source into a reported stall, but a cell measured over
 /// a partial stream would be silently wrong, so this re-checks loudly).
-fn run_full(mut sim: Simulator<'_>, len: RunLength) -> SimStats {
+pub(crate) fn run_full(mut sim: Simulator<'_>, len: RunLength) -> SimStats {
     let stats = sim.run(len.warmup, len.measure);
     assert!(
         !sim.source_exhausted(),

@@ -43,18 +43,18 @@
 //! workloads whose per-interval variance dominates at few intervals;
 //! it shrinks as `1/sqrt(intervals)`).
 //!
-//! Sampled and full-detail runs advance through the same driver (the
-//! `Phase` machine in the `engine` module); this module supplies the
-//! sampled steps — the initial warm, each interval, and the functional
-//! paths under them. Full-detail runs never take those steps, so they
-//! stay bit-identical to the pinned engine.
+//! A sampled run is [`Simulator::run_sampled`]: the initial functional
+//! warm, then the interval loop, each timed window ticked by the same
+//! loop as a full-detail run. The [batch engine](crate::batch) splits
+//! the two steps so that one cell's initial warm can serve a whole
+//! scheme group. Full-detail runs never take the functional paths, so
+//! they stay bit-identical to the pinned engine.
 
 use fe_model::{BlockSource, BranchKind, RetiredBlock, SimStats, INSTR_BYTES};
 use fe_uarch::scheme::ControlFlowDelivery;
 use fe_uarch::RasEntry;
 
-use crate::engine::{EngineScheme, Phase, Simulator, SnapshotSlot};
-use crate::snapshot::WarmSnapshot;
+use crate::engine::{EngineScheme, Simulator};
 
 /// Cap on the unmeasured timed ramp that refills the pipeline before
 /// each measured window (the window's first instructions otherwise
@@ -250,7 +250,7 @@ impl CellSampling {
 
 /// The sampled-run entry contract: a valid spec and room for at least
 /// one detail window.
-fn check_sampled(measure: u64, spec: SamplingSpec) {
+pub(crate) fn check_sampled(measure: u64, spec: SamplingSpec) {
     if let Err(e) = spec.validate() {
         // audit-allow(no-unchecked-panic): run-entry contract — an invalid sampling spec is a caller bug, not a runtime condition; Experiment::try_run is the typed path
         panic!("invalid sampling spec: {e}");
@@ -279,125 +279,49 @@ impl<'p> Simulator<'p> {
     /// silently measured zero intervals would report all-zero
     /// statistics.
     pub fn run_sampled(&mut self, warmup: u64, measure: u64, spec: SamplingSpec) -> SampledStats {
-        self.start_sampled(warmup, measure, spec, None);
-        self.drive();
-        SampledStats {
-            intervals: std::mem::take(&mut self.measured),
-            truncated: self.state.source_dry,
-        }
-    }
-
-    /// Arms a sampled run (see [`Self::run_sampled`]). With a snapshot
-    /// slot, the warmed state is captured and stored once the initial
-    /// warm completes.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`Self::run_sampled`].
-    pub(crate) fn start_sampled(
-        &mut self,
-        warmup: u64,
-        measure: u64,
-        spec: SamplingSpec,
-        snapshot: SnapshotSlot<'p>,
-    ) {
         check_sampled(measure, spec);
-        self.measured.clear();
-        self.phase = Phase::InitWarm {
-            warmup,
-            measure,
-            spec,
-            snapshot,
-        };
+        self.warm_functional(warmup);
+        self.run_intervals(measure, spec)
     }
 
-    /// Arms a sampled run that starts from a warmed state instead of
-    /// warming: `snap` is installed right away, and the initial warm
-    /// becomes a seek past the warmed prefix.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`Self::run_sampled`].
-    pub(crate) fn restore_sampled(
-        &mut self,
-        snap: &WarmSnapshot,
-        measure: u64,
-        spec: SamplingSpec,
-    ) {
-        check_sampled(measure, spec);
-        self.measured.clear();
-        self.phase = Phase::Seek {
-            warmed: self.restore_warm(snap),
-            measure,
-            spec,
-        };
-    }
-
-    /// The initial warm, in one pass: warms the armed warmup length
-    /// with `riders` along (see [`Self::warm_functional_with`]), or,
-    /// after a restore, seeks past the warmed prefix. Then stores the
-    /// warmed snapshot when the run has a slot and enters the interval
-    /// loop.
-    pub(crate) fn init_warm(&mut self, riders: &mut [EngineScheme]) {
-        let (measure, spec) = match self.phase {
-            Phase::InitWarm {
-                warmup,
-                measure,
-                spec,
-                snapshot,
-            } => {
-                self.warm_functional_with(warmup, riders);
-                if let Some((store, key)) = snapshot {
-                    if let Some(snap) = self.capture_warm() {
-                        store.put(key, snap);
-                    }
-                }
-                (measure, spec)
-            }
-            Phase::Seek {
-                warmed,
-                measure,
-                spec,
-            } => {
-                self.skip_functional(warmed);
-                (measure, spec)
-            }
-            _ => return,
-        };
+    /// The interval loop over the next `measure` instructions: per
+    /// interval, a functional tail warm, or fast-forward + functional
+    /// warm + timed detail window. Returns every measured interval.
+    pub(crate) fn run_intervals(&mut self, measure: u64, spec: SamplingSpec) -> SampledStats {
         let end = self.state.retired_total.saturating_add(measure);
-        self.phase = Phase::Intervals { end, spec };
-    }
-
-    /// One interval of the sampled loop: a functional tail warm, or
-    /// fast-forward + functional warm + timed detail window.
-    pub(crate) fn step_interval(&mut self, end: u64, spec: SamplingSpec) {
-        let budget = (end - self.state.retired_total).min(spec.interval);
-        if budget < spec.detail {
-            // Tail shorter than a detail window: cover it functionally.
-            // A sub-length measured window would enter the per-interval
-            // statistics at full weight and skew the mean and
-            // confidence interval.
-            self.warm_functional(budget);
-            return;
+        let mut intervals = Vec::new();
+        while self.state.retired_total < end && !self.state.stream_ended() {
+            let budget = (end - self.state.retired_total).min(spec.interval);
+            if budget < spec.detail {
+                // Tail shorter than a detail window: cover it
+                // functionally. A sub-length measured window would
+                // enter the per-interval statistics at full weight and
+                // skew the mean and confidence interval.
+                self.warm_functional(budget);
+                continue;
+            }
+            let detail = spec.detail;
+            let fwarm = spec.warmup.min(budget - detail);
+            let skip = budget - detail - fwarm;
+            self.skip_functional(skip);
+            self.warm_functional(fwarm);
+            if self.state.stream_ended() || !self.begin_interval() {
+                break;
+            }
+            // Unmeasured ramp: refill the FTQ/supply so the measured
+            // window does not charge artificial cold-pipeline stalls.
+            let ramp = (detail / 16).min(RAMP_CAP);
+            self.tick_until(self.state.retired_total + ramp);
+            self.begin_measurement();
+            self.tick_until(self.state.retired_total + (detail - ramp));
+            let stats = self.finalize();
+            if stats.instructions > 0 {
+                intervals.push(stats);
+            }
         }
-        let detail = spec.detail;
-        let fwarm = spec.warmup.min(budget - detail);
-        let skip = budget - detail - fwarm;
-        self.skip_functional(skip);
-        self.warm_functional(fwarm);
-        if self.state.stream_ended() || !self.begin_interval() {
-            self.phase = Phase::Done;
-            return;
-        }
-        // Unmeasured ramp: refill the FTQ/supply so the measured window
-        // does not charge artificial cold-pipeline stalls.
-        let ramp = (detail / 16).min(RAMP_CAP);
-        self.tick_until(self.state.retired_total + ramp);
-        self.begin_measurement();
-        self.tick_until(self.state.retired_total + (detail - ramp));
-        let stats = self.finalize();
-        if stats.instructions > 0 {
-            self.measured.push(stats);
+        SampledStats {
+            intervals,
+            truncated: self.state.source_dry,
         }
     }
 

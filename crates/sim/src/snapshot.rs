@@ -25,9 +25,8 @@
 //!
 //! The [batch engine](crate::batch) looks each sampled cell up: a hit
 //! restores (the cell then only seeks past the warmed prefix), and on a
-//! miss the run driver's initial-warm step captures and stores the
-//! state after warming. Schemes ride along as clones of their concrete
-//! state.
+//! miss the group's shared initial warm captures and stores the state
+//! after warming. Schemes ride along as clones of their concrete state.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -325,7 +324,7 @@ impl Default for SnapshotStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::BatchSimulator;
+    use crate::batch::run_sampled_group;
     use crate::runner::{run_scheme_sampled_replayed, RunLength};
     use crate::sampling::{SampledStats, SamplingSpec};
     use fe_cfg::{workloads, Program};
@@ -341,8 +340,8 @@ mod tests {
         warmup: 20_000,
     };
 
-    /// One batch of sampled cells with a snapshot store — the path every
-    /// sweep workload takes under `Experiment::snapshots`.
+    /// One sampled group with a snapshot store — the path every sweep
+    /// workload takes under `Experiment::snapshots`.
     fn run_with_store(
         program: &Program,
         trace: &Trace,
@@ -350,12 +349,19 @@ mod tests {
         store: &SnapshotStore,
     ) -> Vec<SampledStats> {
         let machine = MachineConfig::table3();
-        let mut batch =
-            BatchSimulator::new(program, machine, trace, 7, Some(SPEC)).with_snapshots(store);
-        for scheme in schemes {
-            batch.add_cell(scheme, LEN);
-        }
-        batch.run_sampled()
+        let mut stats = Vec::new();
+        run_sampled_group(
+            program,
+            trace,
+            &machine,
+            7,
+            LEN,
+            SPEC,
+            schemes,
+            Some(store),
+            |_, cell| stats.push(cell),
+        );
+        stats
     }
 
     #[test]

@@ -10,8 +10,8 @@
 use fe_cfg::{workloads, WorkloadSpec};
 use fe_model::MachineConfig;
 use fe_sim::{
-    run_scheme_replayed, run_scheme_sampled_replayed, BatchSimulator, CellSampling, Experiment,
-    RunLength, SamplingSpec, SchemeSpec, SweepReport,
+    run_scheme_replayed, run_scheme_sampled_replayed, CellSampling, Experiment, RunLength,
+    SamplingSpec, SchemeSpec, SweepReport,
 };
 use fe_trace::Trace;
 use proptest::prelude::*;
@@ -129,49 +129,6 @@ fn sampled_batch_report_is_byte_identical() {
         .threads(2)
         .run();
     assert_cells_match_one_cell_runs(&report, &specs);
-}
-
-/// `Experiment` fixes one `RunLength` per sweep, but the engine itself
-/// accepts a length per cell; a short cell between long ones must
-/// leave every cell bit-identical to its solo run.
-#[test]
-fn heterogeneous_run_lengths_batch_without_cross_talk() {
-    let program = workloads::apache().scaled(0.15).build();
-    let machine = MachineConfig::table3();
-    let seed = 0x5407;
-    let long = RunLength {
-        warmup: 40_000,
-        measure: 120_000,
-    };
-    let short = RunLength {
-        warmup: 10_000,
-        measure: 20_000,
-    };
-    let trace = Trace::record(&program, seed, long.trace_instrs(&machine));
-
-    let mut batch = BatchSimulator::new(&program, machine.clone(), &trace, seed, None);
-    batch.add_cell(&SchemeSpec::shotgun(), long);
-    batch.add_cell(&SchemeSpec::NoPrefetch, short);
-    batch.add_cell(&SchemeSpec::boomerang(), long);
-    let stats = batch.run();
-
-    for (i, (spec, len)) in [
-        (SchemeSpec::shotgun(), long),
-        (SchemeSpec::NoPrefetch, short),
-        (SchemeSpec::boomerang(), long),
-    ]
-    .iter()
-    .enumerate()
-    {
-        let solo = run_scheme_replayed(&program, &trace, spec, &machine, *len, seed);
-        assert_eq!(
-            stats[i],
-            solo,
-            "cell {} ({}) diverged from its solo run",
-            i,
-            spec.label(),
-        );
-    }
 }
 
 proptest! {

@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use fe_cfg::{workloads, LayerSpec, WorkloadSpec};
 use fe_model::MachineConfig;
-use fe_sim::{run_scheme, Experiment, RunLength, SchemeSpec, SweepReport};
+use fe_sim::{run_scheme, Experiment, RunLength, SamplingSpec, SchemeSpec, SweepReport};
 use shotgun::ShotgunConfig;
 
 fn small_suite() -> Vec<WorkloadSpec> {
@@ -189,6 +189,23 @@ fn sweep_without_baseline_has_no_derived_ratios() {
     assert_eq!(cell.metrics.speedup, None);
     assert_eq!(cell.metrics.coverage, None);
     assert!(cell.metrics.ipc > 0.0, "absolute metrics still derived");
+}
+
+/// Checked up front, on the caller's thread: a worker's panic would
+/// reach the caller only as "a scoped thread panicked".
+#[test]
+#[should_panic(expected = "too short for even one")]
+fn sampled_sweep_shorter_than_one_detail_window_is_rejected_up_front() {
+    let _ = Experiment::new(MachineConfig::table3())
+        .workload(workloads::nutch().scaled(0.05))
+        .scheme(SchemeSpec::NoPrefetch)
+        .len(RunLength {
+            warmup: 1_000,
+            measure: 10_000,
+        })
+        .sampling(SamplingSpec::DEFAULT)
+        .threads(2)
+        .run();
 }
 
 #[test]

@@ -8,7 +8,7 @@ use std::path::PathBuf;
 use fe_cfg::workloads;
 use fe_model::MachineConfig;
 use fe_serve::{ExperimentService, JobSpec, JobState, JobWorkload};
-use fe_sim::{Experiment, RunLength, SchemeSpec};
+use fe_sim::{Experiment, RunLength, SamplingSpec, SchemeSpec};
 
 fn tmp_root(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("fe-serve-test-{tag}-{}", std::process::id()));
@@ -195,6 +195,31 @@ fn duplicate_workloads_or_schemes_are_refused_and_the_next_job_runs() {
     assert!(
         matches!(&state, JobState::Done(report) if report.as_str() == control_report()),
         "the next job completes, got {state:?}"
+    );
+    drop(service);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A sampled job whose measured length cannot fit one detail window
+/// used to pass validation and panic its worker, surfacing only as "job
+/// panicked". It is now refused at submission with the reason.
+#[test]
+fn sampled_job_shorter_than_one_detail_window_is_refused() {
+    let root = tmp_root("short-sampled");
+    let service = ExperimentService::open(&root).expect("opens");
+    let mut short = small_job();
+    short.sampling = Some(SamplingSpec {
+        interval: 100_000,
+        detail: LEN.measure + 1,
+        warmup: 10_000,
+    });
+    let err = service.submit(&short).expect_err("must refuse");
+    assert!(err.contains("too short"), "refusal must say why: {err}");
+    let err = JobSpec::from_json(&short.to_json()).expect_err("the wire path refuses it too");
+    assert!(err.contains("too short"), "{err}");
+    assert!(
+        !root.join("jobs").join("1.json").exists(),
+        "a refused spec is never persisted"
     );
     drop(service);
     let _ = std::fs::remove_dir_all(&root);

@@ -1,13 +1,16 @@
 //! `fe-serve` over TCP against a live daemon core: a repeated
 //! submission must be a 100% cache hit with a report byte-identical to
-//! the computed one, a malformed job must be refused without wedging
-//! the daemon, and an idle server must stop when asked.
+//! the computed one, a malformed job or a hostile frame must be refused
+//! without wedging the daemon, and an idle server must stop when asked.
 
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
+use fe_serve::protocol::{read_message, write_frame};
 use fe_serve::{submit_job, ExperimentService, JobSpec, JobWorkload, Server};
+use fe_sim::json::Json;
 use fe_sim::{RunLength, SchemeSpec};
 
 fn tmp_root(tag: &str) -> std::path::PathBuf {
@@ -73,6 +76,53 @@ fn tcp_round_trip_serves_second_submission_from_cache() {
     );
     let third = submit_job(&addr, &spec).expect("the daemon still serves");
     assert_eq!(third.report, first.report);
+
+    stop.store(true, Ordering::SeqCst);
+    server_thread.join().expect("server drains");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A small frame nested far deeper than any real message must get an
+/// error frame, not overflow the handler's stack and abort the daemon.
+#[test]
+fn deeply_nested_frame_is_refused_and_the_next_job_is_served() {
+    let root = tmp_root("deep");
+    let service = Arc::new(ExperimentService::open(&root).expect("opens"));
+    let server = Server::bind(Arc::clone(&service), "127.0.0.1:0").expect("binds");
+    let addr = server.local_addr().expect("bound").to_string();
+    let stop = Arc::new(AtomicBool::new(false));
+    let server_thread = {
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || server.run_until(&stop))
+    };
+
+    for open in ["[", "{\"a\":"] {
+        let mut conn = TcpStream::connect(&addr).expect("connects");
+        write_frame(&mut conn, open.repeat(100_000).as_bytes()).expect("frame sent");
+        let reply = read_message(&mut conn)
+            .expect("the daemon answers")
+            .expect("an error frame, not a closed socket");
+        assert_eq!(reply.get("type"), Some(&Json::Str("error".into())));
+        let message = reply
+            .req("message")
+            .and_then(Json::as_str)
+            .expect("says why");
+        assert!(message.contains("nesting deeper than"), "{message}");
+    }
+
+    let spec = JobSpec {
+        workloads: vec![JobWorkload {
+            name: "nutch".into(),
+            scale: Some(0.05),
+        }],
+        schemes: vec![SchemeSpec::NoPrefetch],
+        len: LEN,
+        seed: 9,
+        sampling: None,
+        threads: 1,
+    };
+    let served = submit_job(&addr, &spec).expect("the daemon still serves");
+    assert_eq!(served.progress.len(), spec.cell_count());
 
     stop.store(true, Ordering::SeqCst);
     server_thread.join().expect("server drains");
