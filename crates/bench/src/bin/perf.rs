@@ -345,14 +345,7 @@ fn write_perf_json(cells: &[PerfCell], len: RunLength, sampling: SamplingSpec, m
             "modes".into(),
             Json::Arr(modes.iter().map(|m| Json::Str(m.clone())).collect()),
         ),
-        (
-            "sampling".into(),
-            Json::Obj(vec![
-                ("interval".into(), Json::U64(sampling.interval)),
-                ("detail".into(), Json::U64(sampling.detail)),
-                ("warmup".into(), Json::U64(sampling.warmup)),
-            ]),
-        ),
+        ("sampling".into(), sampling.to_json()),
     ]);
     let cell_json = Json::Arr(
         cells

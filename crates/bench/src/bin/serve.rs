@@ -13,7 +13,7 @@
 //! Emitted as `BENCH_serve.json` under `SHOTGUN_JSON_DIR`: wall time,
 //! jobs/s, cache-hit rate and fingerprint-memo counts (hits, misses,
 //! programs built) per submission — the tracked throughput
-//! trajectory of the service path (queue + checkpoint + cache + wire
+//! trajectory of the service path (queue + job spec + cache + wire
 //! protocol overhead rides on top of raw simulation).
 //!
 //! ```sh

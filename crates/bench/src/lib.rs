@@ -212,13 +212,7 @@ pub fn write_serve_json(run: &ServeRun) {
             ("programs_built".into(), Json::U64(memo.programs_built)),
         ])
     };
-    let sampling = run.sampling.map_or(Json::Null, |s| {
-        Json::Obj(vec![
-            ("interval".into(), Json::U64(s.interval)),
-            ("detail".into(), Json::U64(s.detail)),
-            ("warmup".into(), Json::U64(s.warmup)),
-        ])
-    });
+    let sampling = run.sampling.map_or(Json::Null, |s| s.to_json());
     let doc = Json::Obj(vec![
         (
             "run".into(),

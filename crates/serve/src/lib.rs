@@ -14,11 +14,12 @@
 //!   engine version). Resubmitting a sweep serves every cell from disk,
 //!   **byte-identical** to computing it: cached values run through the
 //!   exact JSON encoders report cells use.
-//! * **Checkpointed sweep state** ([`JobCheckpoint`]) — job specs are
-//!   durable before they are acknowledged, and each job's
-//!   completed-cell set is fsynced per cell (write-to-temp + rename,
-//!   never torn). A killed daemon re-enqueues pending specs on restart
-//!   and recomputes nothing that already finished.
+//! * **Resumable jobs** — job specs are durable (write-to-temp +
+//!   fsync + rename, never torn) before they are acknowledged. A cell
+//!   is a deterministic function of its key, so the pending spec plus
+//!   the cell cache is the whole checkpoint: a killed daemon re-enqueues
+//!   pending specs on restart and recomputes nothing that already
+//!   finished.
 //! * **Warmed-state snapshots** ([`fe_sim::SnapshotStore`]) — sampled
 //!   cells capture their post-warmup microarchitectural state once per
 //!   (workload, config); re-runs restore it instead of re-warming,
@@ -43,4 +44,4 @@ pub mod store;
 pub use protocol::{submit_job, ClientOutcome};
 pub use server::Server;
 pub use service::{ExperimentService, JobId, JobProgress, JobSpec, JobState, JobWorkload};
-pub use store::{DiskCellStore, JobCheckpoint};
+pub use store::DiskCellStore;

@@ -1,7 +1,7 @@
 //! The `fe-serve` daemon: binds the experiment service to a TCP
 //! address and serves until SIGINT/SIGTERM, then shuts down gracefully
-//! (in-flight cell completes and persists, checkpoints flush, pending
-//! jobs stay on disk for the next start).
+//! (in-flight cell completes and persists, idle connections are closed,
+//! pending jobs stay on disk for the next start).
 //!
 //! ```text
 //! fe-serve [--root DIR] [--addr HOST:PORT] [--cache-max-bytes N]

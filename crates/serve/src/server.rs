@@ -7,12 +7,14 @@
 //! `ACCEPT_POLL` and, once it is set, connects to the listener to
 //! wake the blocked `accept`. A signal delivered to the daemon thus
 //! stops new connections within about one poll period, while the
-//! service layer finishes the in-flight cell and flushes its
-//! checkpoint. One connection carries one job; per-connection handler
-//! threads stream progress as the worker produces it.
+//! service layer finishes the in-flight cell. The read half of every
+//! open connection is then shut, so a client that never sends its
+//! submit cannot hold the drain. One connection carries one job;
+//! per-connection handler threads stream progress as the worker
+//! produces it.
 
 use std::io::{self, Write};
-use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -49,8 +51,10 @@ impl Server {
     }
 
     /// Serves until `stop` becomes true, then drains: stops accepting,
-    /// shuts the service down gracefully (in-flight cell completes and
-    /// persists), and joins the connection handlers.
+    /// shuts the read half of every open connection (a handler still
+    /// waiting for its submit sees end-of-stream; one streaming a job
+    /// only writes), shuts the service down gracefully (in-flight cell
+    /// completes and persists), and joins the connection handlers.
     pub fn run_until(&self, stop: &AtomicBool) {
         let accepting = AtomicBool::new(true);
         let handlers = std::thread::scope(|scope| {
@@ -66,9 +70,11 @@ impl Server {
                 match accepted {
                     Ok((conn, _peer)) => {
                         let service = Arc::clone(&self.service);
-                        handlers.push(std::thread::spawn(move || {
-                            handle_connection(conn, &service)
-                        }));
+                        // A second handle on the socket, kept to shut
+                        // its read half at drain.
+                        let reader = conn.try_clone().ok();
+                        let handler = std::thread::spawn(move || handle_connection(conn, &service));
+                        handlers.push((handler, reader));
                     }
                     Err(e) => {
                         eprintln!("fe-serve: accept failed: {e}");
@@ -77,7 +83,7 @@ impl Server {
                         std::thread::sleep(ACCEPT_POLL);
                     }
                 }
-                let (finished, running) = handlers.into_iter().partition(JoinHandle::is_finished);
+                let (finished, running) = handlers.into_iter().partition(|(h, _)| h.is_finished());
                 handlers = running;
                 join_handlers(finished);
             }
@@ -85,6 +91,9 @@ impl Server {
             watcher.thread().unpark();
             handlers
         });
+        for reader in handlers.iter().filter_map(|(_, reader)| reader.as_ref()) {
+            let _ = reader.shutdown(Shutdown::Read);
+        }
         self.service.shutdown();
         join_handlers(handlers);
     }
@@ -117,9 +126,10 @@ fn wake_addr(mut bound: SocketAddr) -> SocketAddr {
     bound
 }
 
-/// Joins connection handlers, reporting any that panicked.
-fn join_handlers(handlers: Vec<JoinHandle<()>>) {
-    for handler in handlers {
+/// Joins connection handlers, reporting any that panicked; each one's
+/// spare socket handle closes with it.
+fn join_handlers(handlers: Vec<(JoinHandle<()>, Option<TcpStream>)>) {
+    for (handler, _reader) in handlers {
         if handler.join().is_err() {
             eprintln!("fe-serve: connection handler panicked");
         }

@@ -5,11 +5,10 @@
 //! (see [`server`](crate::server)): jobs are submitted as [`JobSpec`]s,
 //! persisted under `jobs/` before they are acknowledged, and executed
 //! strictly in submission order through [`fe_sim::Experiment`] with
-//! four storage layers installed:
+//! three storage layers installed:
 //!
 //! * the shared [`DiskCellStore`] — repeated cells across jobs cost a
 //!   file read, byte-identical to computing them;
-//! * a per-job [`JobCheckpoint`] recording the completed-cell set;
 //! * a process-lifetime [`SnapshotStore`] so sampled re-runs skip
 //!   functional warming;
 //! * a process-lifetime [`FingerprintMemo`] so a job resolves its cell
@@ -22,7 +21,9 @@
 //!
 //! A killed daemon resumes on restart: `open` re-enqueues every
 //! pending job spec it finds, and their completed cells are served
-//! from the cache instead of recomputed.
+//! from the cache instead of recomputed. A cell is a deterministic
+//! function of its [`CellKey`](fe_sim::CellKey), so the pending spec
+//! plus the cache is the whole checkpoint.
 
 use std::collections::HashMap;
 use std::fs;
@@ -38,11 +39,11 @@ use fe_cfg::workloads;
 use fe_model::MachineConfig;
 use fe_sim::json::{self, Json};
 use fe_sim::{
-    scheme_from_json, scheme_to_json, Experiment, FingerprintMemo, RunLength, SamplingSpec,
-    SchemeSpec, SnapshotStore,
+    check_sweep, scheme_from_json, scheme_to_json, Experiment, FingerprintMemo, RunLength,
+    SamplingSpec, SchemeSpec, SnapshotStore,
 };
 
-use crate::store::{write_atomic, DiskCellStore, JobCheckpoint};
+use crate::store::{write_atomic, DiskCellStore};
 
 /// Identifies a job; monotonically increasing across a service root's
 /// lifetime (a restart continues above the highest id on disk).
@@ -117,13 +118,7 @@ impl JobSpec {
             ("seed".into(), Json::U64(self.seed)),
             (
                 "sampling".into(),
-                self.sampling.map_or(Json::Null, |s| {
-                    Json::Obj(vec![
-                        ("interval".into(), Json::U64(s.interval)),
-                        ("detail".into(), Json::U64(s.detail)),
-                        ("warmup".into(), Json::U64(s.warmup)),
-                    ])
-                }),
+                self.sampling.map_or(Json::Null, |s| s.to_json()),
             ),
             ("threads".into(), Json::U64(self.threads as u64)),
         ])
@@ -150,11 +145,7 @@ impl JobSpec {
         }
         let sampling = match doc.get("sampling") {
             None | Some(Json::Null) => None,
-            Some(s) => Some(SamplingSpec {
-                interval: s.req("interval")?.as_u64()?,
-                detail: s.req("detail")?.as_u64()?,
-                warmup: s.req("warmup")?.as_u64()?,
-            }),
+            Some(s) => Some(SamplingSpec::from_json(s)?),
         };
         let spec = JobSpec {
             workloads: spec_workloads,
@@ -172,16 +163,10 @@ impl JobSpec {
     }
 
     /// Checks everything [`Experiment::run`] would otherwise panic on:
-    /// at least one workload and one scheme, catalog workload names,
-    /// positive finite scales, a valid sampling shape with room for one
-    /// detail window in the measured length, and no two workloads with
-    /// the same name or schemes with the same label (report cells are
-    /// keyed by both).
+    /// catalog workload names and positive finite scales — what only a
+    /// job knows — then the sweep rules of [`check_sweep`].
     pub fn validate(&self) -> Result<(), String> {
-        if self.workloads.is_empty() || self.schemes.is_empty() {
-            return Err("job needs at least one workload and one scheme".into());
-        }
-        for (i, w) in self.workloads.iter().enumerate() {
+        for w in &self.workloads {
             if workloads::by_name(&w.name).is_none() {
                 return Err(format!("unknown workload `{}`", w.name));
             }
@@ -190,32 +175,9 @@ impl JobSpec {
                     return Err(format!("workload scale must be positive, got {s}"));
                 }
             }
-            if self.workloads[..i].iter().any(|prev| prev.name == w.name) {
-                return Err(format!(
-                    "duplicate workload `{}`: report cells are keyed by name",
-                    w.name
-                ));
-            }
         }
-        let labels: Vec<String> = self.schemes.iter().map(SchemeSpec::label).collect();
-        for (i, label) in labels.iter().enumerate() {
-            if labels[..i].contains(label) {
-                return Err(format!(
-                    "duplicate scheme `{label}`: report cells are keyed by label"
-                ));
-            }
-        }
-        if let Some(sampling) = &self.sampling {
-            sampling.validate()?;
-            if self.len.measure < sampling.detail {
-                return Err(format!(
-                    "sampled job measures {} instructions — too short for even one \
-                     {}-instruction detail window",
-                    self.len.measure, sampling.detail,
-                ));
-            }
-        }
-        Ok(())
+        let names: Vec<String> = self.workloads.iter().map(|w| w.name.clone()).collect();
+        check_sweep(&names, &self.schemes, self.len, self.sampling)
     }
 
     /// Cells this job sweeps.
@@ -337,19 +299,25 @@ impl ExperimentService {
         let (tx, rx) = mpsc::channel::<QueuedJob>();
 
         let mut pending = Vec::new();
+        let mut last_id = 0;
         for entry in fs::read_dir(&jobs_dir)? {
             let path = entry?.path();
             let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
                 continue;
             };
-            // Pending specs are exactly `<id>.json` (checkpoints and
-            // reports carry dotted suffixes that fail the id parse).
-            let Some(id) = name
-                .strip_suffix(".json")
-                .and_then(|stem| stem.parse::<JobId>().ok())
+            // Every job file is `<id>.<suffix>`; a finished job's report
+            // keeps its id taken, so a restart never reuses it.
+            let Some((id, suffix)) = name
+                .split_once('.')
+                .and_then(|(stem, suffix)| Some((stem.parse::<JobId>().ok()?, suffix)))
             else {
                 continue;
             };
+            last_id = last_id.max(id);
+            // Pending specs are exactly `<id>.json`.
+            if suffix != "json" {
+                continue;
+            }
             let spec = fs::read_to_string(&path)
                 .map_err(|e| e.to_string())
                 .and_then(|text| json::parse(&text))
@@ -362,7 +330,6 @@ impl ExperimentService {
             }
         }
         pending.sort_by_key(|(id, _)| *id);
-        let next_id = pending.last().map_or(1, |(id, _)| id + 1);
         {
             let mut states = table.states.lock().unwrap();
             for (id, spec) in pending {
@@ -396,7 +363,7 @@ impl ExperimentService {
             fingerprints,
             queue: Mutex::new(Some(tx)),
             table,
-            next_id: Mutex::new(next_id),
+            next_id: Mutex::new(last_id + 1),
             draining,
             worker: Mutex::new(Some(handle)),
         })
@@ -480,9 +447,9 @@ impl ExperimentService {
     }
 
     /// Graceful shutdown: refuses new jobs, asks the worker to stop —
-    /// cells already in flight complete and persist to the cache, the
-    /// job checkpoint is flushed, queued/interrupted specs stay on disk
-    /// for the next start — and joins the worker. Idempotent.
+    /// cells already in flight complete and persist to the cache,
+    /// queued/interrupted specs stay on disk for the next start — and
+    /// joins the worker. Idempotent.
     pub fn shutdown(&self) {
         self.draining.store(true, Ordering::SeqCst);
         // Dropping the sender ends the worker's queue loop.
@@ -519,9 +486,8 @@ impl Worker {
                 .unwrap_or_else(|payload| JobState::Failed(panic_message(payload.as_ref())));
             self.table.set(job.id, state);
             if let Some(max) = self.cache_max_bytes {
-                // Trim after the job's cells (and checkpoint reads)
-                // have refreshed recency, so its working set is the
-                // last evicted.
+                // Trim after the job's cells have refreshed recency,
+                // so its working set is the last evicted.
                 self.cache.gc(max);
             }
         }
@@ -529,10 +495,6 @@ impl Worker {
 
     fn run_job(&self, job: &QueuedJob) -> JobState {
         let QueuedJob { id, spec, progress } = job;
-        let checkpoint = Arc::new(JobCheckpoint::new(
-            Arc::clone(&self.cache),
-            self.jobs_dir.join(format!("{id}.ckpt.json")),
-        ));
         let progress = progress.as_ref().map(|tx| Mutex::new(tx.clone()));
         let mut experiment = Experiment::new(MachineConfig::table3())
             .workloads(spec.workloads.iter().map(|w| {
@@ -545,7 +507,7 @@ impl Worker {
             .schemes(spec.schemes.iter().cloned())
             .len(spec.len)
             .seed(spec.seed)
-            .cell_store(checkpoint)
+            .cell_store(self.cache.clone())
             .snapshots(Arc::clone(&self.snapshots))
             .fingerprints(Arc::clone(&self.fingerprints))
             .cancel_flag(Arc::clone(&self.draining))
@@ -574,10 +536,9 @@ impl Worker {
                     return JobState::Failed(format!("persisting report: {e}"));
                 }
                 // Only after the report is durable does the pending
-                // spec (and its checkpoint) disappear — a crash in
-                // between re-runs the job from a fully warm cache.
+                // spec disappear — a crash in between re-runs the job
+                // from a fully warm cache.
                 let _ = fs::remove_file(self.jobs_dir.join(format!("{id}.json")));
-                let _ = fs::remove_file(self.jobs_dir.join(format!("{id}.ckpt.json")));
                 JobState::Done(Arc::new(rendered))
             }
             Err(_interrupted) => JobState::Interrupted,

@@ -1,12 +1,11 @@
 //! Durable storage: the on-disk content-addressed cell cache and the
-//! per-job checkpoint files.
+//! job files.
 //!
 //! Layout under the service root:
 //!
 //! ```text
 //! <root>/cache/<address>.json    one cached cell result per file
 //! <root>/jobs/<id>.json          a pending job's spec (removed on completion)
-//! <root>/jobs/<id>.ckpt.json     the job's completed-cell set (ditto)
 //! <root>/jobs/<id>.report.json   the finished job's full SweepReport
 //! ```
 //!
@@ -16,14 +15,12 @@
 //! never a torn mix — which is what lets a killed daemon trust
 //! whatever it finds on restart.
 
-use std::collections::BTreeSet;
 use std::fs::{self, File};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
-use fe_sim::json::{self, Json};
+use fe_sim::json;
 use fe_sim::{CellKey, CellStore, CellValue};
 
 /// Writes `bytes` to `path` atomically: temp sibling, fsync, rename.
@@ -175,92 +172,11 @@ impl CellStore for DiskCellStore {
     }
 }
 
-/// Per-job checkpoint: a [`CellStore`] wrapper that, besides
-/// delegating to the shared cache, durably records which of the job's
-/// cells are complete (`jobs/<id>.ckpt.json`, rewritten atomically
-/// after every cell). Together with the cache this *is* the sweep
-/// checkpoint: a restarted daemon re-runs the persisted job spec and
-/// every recorded-complete cell is served from the cache instead of
-/// recomputed.
-pub struct JobCheckpoint {
-    inner: std::sync::Arc<DiskCellStore>,
-    path: PathBuf,
-    completed: Mutex<BTreeSet<String>>,
-}
-
-impl JobCheckpoint {
-    /// Wraps the shared cache with a checkpoint at `path`, seeding the
-    /// completed set from an existing checkpoint file if one survives
-    /// from a previous run of this job.
-    pub fn new(inner: std::sync::Arc<DiskCellStore>, path: PathBuf) -> JobCheckpoint {
-        let completed = fs::read_to_string(&path)
-            .ok()
-            .and_then(|text| json::parse(&text).ok())
-            .and_then(|doc| {
-                let cells = doc.get("completed")?.as_arr().ok()?.to_vec();
-                Some(
-                    cells
-                        .iter()
-                        .filter_map(|c| c.as_str().ok().map(str::to_string))
-                        .collect::<BTreeSet<_>>(),
-                )
-            })
-            .unwrap_or_default();
-        JobCheckpoint {
-            inner,
-            path,
-            completed: Mutex::new(completed),
-        }
-    }
-
-    /// Cells recorded complete so far.
-    pub fn completed(&self) -> usize {
-        self.completed
-            .lock()
-            .expect("completed-set mutex poisoned: a recording thread panicked")
-            .len()
-    }
-
-    fn record(&self, key: &CellKey) {
-        let mut completed = self
-            .completed
-            .lock()
-            .expect("completed-set mutex poisoned: a recording thread panicked");
-        if !completed.insert(key.address()) {
-            return;
-        }
-        let doc = Json::Obj(vec![(
-            "completed".into(),
-            Json::Arr(completed.iter().cloned().map(Json::Str).collect()),
-        )]);
-        // Fsynced per cell: the checkpoint never claims more than the
-        // cache holds (the cell itself was renamed into place first).
-        let _ = write_atomic(&self.path, doc.render().as_bytes());
-    }
-}
-
-impl CellStore for JobCheckpoint {
-    fn get(&self, key: &CellKey) -> Option<CellValue> {
-        let value = self.inner.get(key);
-        if value.is_some() {
-            // A served cell is as complete as a computed one.
-            self.record(key);
-        }
-        value
-    }
-
-    fn put(&self, key: &CellKey, value: &CellValue) {
-        self.inner.put(key, value);
-        self.record(key);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use fe_model::MachineConfig;
     use fe_sim::{RunLength, SchemeSpec};
-    use std::sync::Arc;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("fe-serve-store-{tag}-{}", std::process::id()));
@@ -305,24 +221,6 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_records_served_and_computed_cells() {
-        let dir = tmpdir("ckpt");
-        let cache = Arc::new(DiskCellStore::open(dir.join("cache")).unwrap());
-        let ckpt_path = dir.join("1.ckpt.json");
-        let ckpt = JobCheckpoint::new(Arc::clone(&cache), ckpt_path.clone());
-        ckpt.put(&a_key(1), &a_value());
-        assert!(ckpt.get(&a_key(2)).is_none(), "miss records nothing");
-        cache.put(&a_key(2), &a_value());
-        assert!(ckpt.get(&a_key(2)).is_some(), "hit records completion");
-        assert_eq!(ckpt.completed(), 2);
-
-        // A fresh checkpoint over the surviving file resumes the set.
-        let resumed = JobCheckpoint::new(cache, ckpt_path);
-        assert_eq!(resumed.completed(), 2);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn gc_evicts_least_recently_used_until_under_budget() {
         use std::time::{Duration, SystemTime};
         let dir = tmpdir("gc");
@@ -359,17 +257,6 @@ mod tests {
         // Evicted cells recompute and re-enter cleanly.
         store.put(&a_key(2), &a_value());
         assert_eq!(store.len(), 2);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn torn_checkpoint_file_degrades_to_empty() {
-        let dir = tmpdir("torn");
-        let cache = Arc::new(DiskCellStore::open(dir.join("cache")).unwrap());
-        let path = dir.join("1.ckpt.json");
-        fs::write(&path, b"{\"completed\": [\"abc").unwrap(); // torn
-        let ckpt = JobCheckpoint::new(cache, path);
-        assert_eq!(ckpt.completed(), 0, "unreadable checkpoint = start over");
         let _ = fs::remove_dir_all(&dir);
     }
 }

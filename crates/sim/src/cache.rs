@@ -254,13 +254,7 @@ pub fn cell_config_json(
         ("seed".into(), Json::U64(seed)),
         (
             "sampling".into(),
-            sampling.map_or(Json::Null, |s| {
-                Json::Obj(vec![
-                    ("interval".into(), Json::U64(s.interval)),
-                    ("detail".into(), Json::U64(s.detail)),
-                    ("warmup".into(), Json::U64(s.warmup)),
-                ])
-            }),
+            sampling.map_or(Json::Null, |s| s.to_json()),
         ),
     ])
 }

@@ -333,10 +333,8 @@ impl Experiment {
     /// cell (see the module docs); cells fan out over scoped worker
     /// threads — a mix runs as one job whose contexts interleave
     /// deterministically, so reports are byte-identical at any thread
-    /// count. Panics if the sweep is empty, if a configured baseline is
-    /// not among the schemes, if two schemes share a display label, or
-    /// if workload/mix names collide (which would make cells ambiguous
-    /// in reports and JSON).
+    /// count. Panics if the sweep breaks [`check_sweep`], if a mix is
+    /// sampled, or if a configured baseline is not among the schemes.
     pub fn run(self) -> SweepReport {
         self.try_run()
             // audit-allow(no-unchecked-panic): run() documents this panic — it only fires when a cancel flag tripped, and try_run is the typed alternative
@@ -367,60 +365,22 @@ impl Experiment {
             cancel,
         } = self;
         assert!(
-            !(workloads.is_empty() && mixes.is_empty()),
-            "Experiment::run: no workloads configured"
+            sampling.is_none() || mixes.is_empty(),
+            "Experiment::run: sampled mode does not support consolidation mixes \
+             (their streams are interference-coupled and cannot fast-forward independently)"
         );
-        assert!(
-            !schemes.is_empty(),
-            "Experiment::run: no schemes configured"
-        );
-        if let Some(spec) = &sampling {
-            assert!(
-                mixes.is_empty(),
-                "Experiment::run: sampled mode does not support consolidation mixes \
-                 (their streams are interference-coupled and cannot fast-forward independently)"
-            );
-            if let Err(e) = spec.validate() {
-                // audit-allow(no-unchecked-panic): sweep-configuration contract — an invalid sampling spec is a caller bug caught before any cell runs
-                panic!("Experiment::run: invalid sampling spec: {e}");
-            }
-            assert!(
-                len.measure >= spec.detail,
-                "Experiment::run: sampled cells measure {} instructions — too short for even \
-                 one {}-instruction detail window",
-                len.measure,
-                spec.detail,
-            );
+        // A mix's cells are keyed by member id (`<mix>#<i>.<member>`),
+        // so member ids share the workload-name namespace.
+        let names: Vec<String> = workloads
+            .iter()
+            .map(|w| w.name.clone())
+            .chain(mixes.iter().flat_map(MixSpec::member_ids))
+            .collect();
+        if let Err(e) = check_sweep(&names, &schemes, len, sampling) {
+            // audit-allow(no-unchecked-panic): sweep-configuration contract — a malformed sweep is a caller bug caught before any cell runs
+            panic!("Experiment::run: {e}");
         }
-
-        let labels: Vec<String> = schemes.iter().map(|s| s.label()).collect();
-        for (i, label) in labels.iter().enumerate() {
-            assert!(
-                !labels[..i].contains(label),
-                "Experiment::run: duplicate scheme label `{label}`",
-            );
-        }
-        for (i, wl) in workloads.iter().enumerate() {
-            assert!(
-                !workloads[..i].iter().any(|w| w.name == wl.name),
-                "Experiment::run: duplicate workload name `{}` (rename one spec — \
-                 cells are keyed by name)",
-                wl.name,
-            );
-        }
-        for (i, mix) in mixes.iter().enumerate() {
-            assert!(
-                !mixes[..i].iter().any(|m| m.name == mix.name),
-                "Experiment::run: duplicate mix name `{}`",
-                mix.name,
-            );
-            for id in mix.member_ids() {
-                assert!(
-                    !workloads.iter().any(|w| w.name == id),
-                    "Experiment::run: workload name `{id}` collides with a mix member id",
-                );
-            }
-        }
+        let labels: Vec<String> = schemes.iter().map(SchemeSpec::label).collect();
         let baseline = baseline.or_else(|| {
             schemes
                 .contains(&SchemeSpec::NoPrefetch)
@@ -761,6 +721,35 @@ impl Experiment {
     }
 }
 
+/// The sweep rules [`Experiment::run`] enforces, for anything that
+/// accepts a sweep on its behalf: at least one workload and one scheme,
+/// unique workload names and scheme labels (report cells are keyed by
+/// both), and a sampling shape that [fits](SamplingSpec::check_measure).
+pub fn check_sweep(
+    workloads: &[String],
+    schemes: &[SchemeSpec],
+    len: RunLength,
+    sampling: Option<SamplingSpec>,
+) -> Result<(), String> {
+    if workloads.is_empty() || schemes.is_empty() {
+        return Err("a sweep needs at least one workload and one scheme".into());
+    }
+    for (i, name) in workloads.iter().enumerate() {
+        if workloads[..i].contains(name) {
+            return Err(format!(
+                "duplicate workload name `{name}` (rename one spec — cells are keyed by name)"
+            ));
+        }
+    }
+    let labels: Vec<String> = schemes.iter().map(SchemeSpec::label).collect();
+    for (i, label) in labels.iter().enumerate() {
+        if labels[..i].contains(label) {
+            return Err(format!("duplicate scheme label `{label}`"));
+        }
+    }
+    sampling.map_or(Ok(()), |spec| spec.check_measure(len.measure))
+}
+
 /// Produces the replay trace for one workload: reuses a compatible
 /// recording from `dir` when present — an ingested v2 store
 /// (`.fets`, checked first) or a flat v1 trace (`.fetr`) — otherwise
@@ -1026,14 +1015,7 @@ impl SweepReport {
         // their historical byte shape (the pinned fixture is a byte
         // diff).
         if let Some(spec) = &self.sampling {
-            run_members.push((
-                "sampling".into(),
-                Json::Obj(vec![
-                    ("interval".into(), Json::U64(spec.interval)),
-                    ("detail".into(), Json::U64(spec.detail)),
-                    ("warmup".into(), Json::U64(spec.warmup)),
-                ]),
-            ));
+            run_members.push(("sampling".into(), spec.to_json()));
         }
         let run = Json::Obj(run_members);
         let workloads = Json::Arr(
@@ -1064,14 +1046,10 @@ impl SweepReport {
             other => Some(other.as_str()?.to_string()),
         };
         // Absent in pre-sampling reports (and every full-detail one).
-        let sampling = match run.get("sampling") {
-            None => None,
-            Some(doc) => Some(SamplingSpec {
-                interval: doc.req("interval")?.as_u64()?,
-                detail: doc.req("detail")?.as_u64()?,
-                warmup: doc.req("warmup")?.as_u64()?,
-            }),
-        };
+        let sampling = run
+            .get("sampling")
+            .map(SamplingSpec::from_json)
+            .transpose()?;
         let workloads = doc
             .req("workloads")?
             .as_arr()?

@@ -71,8 +71,8 @@ pub use cache::{
 };
 pub use engine::{EngineScheme, SchemeKind, Simulator};
 pub use experiment::{
-    scheme_from_json, scheme_to_json, CellMetrics, Experiment, Interrupted, ProgressEvent,
-    SweepCell, SweepReport, WorkloadId,
+    check_sweep, scheme_from_json, scheme_to_json, CellMetrics, Experiment, Interrupted,
+    ProgressEvent, SweepCell, SweepReport, WorkloadId,
 };
 pub use fe_trace::ProgramFingerprint;
 pub use multi::{derive_ctx_seed, ContextStats, MultiSimulator, MultiStats};

@@ -55,6 +55,7 @@ use fe_uarch::scheme::ControlFlowDelivery;
 use fe_uarch::RasEntry;
 
 use crate::engine::{EngineScheme, Simulator};
+use crate::json::Json;
 
 /// Cap on the unmeasured timed ramp that refills the pipeline before
 /// each measured window (the window's first instructions otherwise
@@ -100,6 +101,40 @@ impl SamplingSpec {
             ));
         }
         Ok(())
+    }
+
+    /// [`Self::validate`], plus room in `measure` for one detail window
+    /// (a run measuring zero intervals would report all-zero statistics).
+    pub fn check_measure(&self, measure: u64) -> Result<(), String> {
+        self.validate()
+            .map_err(|e| format!("invalid sampling spec: {e}"))?;
+        if measure < self.detail {
+            return Err(format!(
+                "sampled run measures {measure} instructions — too short for even one \
+                 {}-instruction detail window",
+                self.detail,
+            ));
+        }
+        Ok(())
+    }
+
+    /// The shape as JSON, keys in the order interval, detail, warmup —
+    /// the encoding reports, cell keys and job specs share.
+    pub fn to_json(&self) -> Json {
+        Json::Obj(vec![
+            ("interval".into(), Json::U64(self.interval)),
+            ("detail".into(), Json::U64(self.detail)),
+            ("warmup".into(), Json::U64(self.warmup)),
+        ])
+    }
+
+    /// Parses [`Self::to_json`]'s encoding.
+    pub fn from_json(doc: &Json) -> Result<SamplingSpec, String> {
+        Ok(SamplingSpec {
+            interval: doc.req("interval")?.as_u64()?,
+            detail: doc.req("detail")?.as_u64()?,
+            warmup: doc.req("warmup")?.as_u64()?,
+        })
     }
 
     /// Fraction of each interval simulated cycle-accurately.
@@ -248,19 +283,12 @@ impl CellSampling {
     }
 }
 
-/// The sampled-run entry contract: a valid spec and room for at least
-/// one detail window.
+/// The sampled-run entry contract, [`SamplingSpec::check_measure`].
 pub(crate) fn check_sampled(measure: u64, spec: SamplingSpec) {
-    if let Err(e) = spec.validate() {
+    if let Err(e) = spec.check_measure(measure) {
         // audit-allow(no-unchecked-panic): run-entry contract — an invalid sampling spec is a caller bug, not a runtime condition; Experiment::try_run is the typed path
-        panic!("invalid sampling spec: {e}");
+        panic!("{e}");
     }
-    assert!(
-        measure >= spec.detail,
-        "sampled run measures {measure} instructions — too short for even one \
-         {}-instruction detail window (shrink the spec or run full detail)",
-        spec.detail,
-    );
 }
 
 impl<'p> Simulator<'p> {

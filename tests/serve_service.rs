@@ -1,9 +1,11 @@
-//! Experiment-service integration: checkpoint/resume after a mid-sweep
-//! shutdown and graceful-shutdown semantics (the TCP round trip lives
+//! Experiment-service integration: resume after a mid-sweep shutdown,
+//! graceful-shutdown semantics, job ids across restarts, and job
+//! validation agreeing with `Experiment::run` (the TCP round trip lives
 //! in `serve_tcp.rs`). Computed cells are counted by each service's
 //! own cache writes, never by process-global state.
 
-use std::path::PathBuf;
+use std::panic::{self, AssertUnwindSafe};
+use std::path::{Path, PathBuf};
 
 use fe_cfg::workloads;
 use fe_model::MachineConfig;
@@ -43,6 +45,16 @@ fn small_job() -> JobSpec {
         sampling: None,
         threads: 1,
     }
+}
+
+/// Names of the files under `<root>/jobs`, sorted.
+fn job_files(root: &Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(root.join("jobs"))
+        .expect("jobs dir")
+        .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    names
 }
 
 /// The exact sweep `small_job` describes, run directly — the
@@ -94,9 +106,10 @@ fn killed_service_resumes_without_recomputing() {
             root.join("jobs").join("1.json").exists(),
             "the pending spec must survive shutdown"
         );
-        assert!(
-            root.join("jobs").join("1.ckpt.json").exists(),
-            "the checkpoint must survive shutdown"
+        assert_eq!(
+            job_files(&root),
+            ["1.json"],
+            "no checkpoint file: the pending spec and the cache are the whole resume state"
         );
     }
 
@@ -121,12 +134,94 @@ fn killed_service_resumes_without_recomputing() {
         !root.join("jobs").join("1.json").exists(),
         "completed jobs leave the pending queue"
     );
-    assert!(
-        root.join("jobs").join("1.report.json").exists(),
-        "the report is durable"
+    assert_eq!(
+        job_files(&root),
+        ["1.report.json"],
+        "a finished job leaves only its durable report"
     );
     drop(service);
     let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Job ids keep rising across a restart: a finished job leaves only its
+/// report on disk, and that report's id stays taken.
+#[test]
+fn restarted_service_never_reuses_a_finished_job_id() {
+    let root = tmp_root("ids");
+    let mut spec = small_job();
+    spec.workloads.truncate(1);
+    spec.schemes.truncate(1);
+    let first = {
+        let service = ExperimentService::open(&root).expect("opens");
+        let (id, _progress) = service.submit(&spec).expect("accepts");
+        assert!(matches!(service.wait(id), Some(JobState::Done(_))));
+        id
+    };
+    let report_path = root.join("jobs").join(format!("{first}.report.json"));
+    let report = std::fs::read(&report_path).expect("report written");
+
+    let service = ExperimentService::open(&root).expect("reopens");
+    let (second, _progress) = service.submit(&spec).expect("accepts");
+    assert!(second > first, "id {second} reuses or undercuts {first}");
+    assert!(matches!(service.wait(second), Some(JobState::Done(_))));
+    assert_eq!(
+        std::fs::read(&report_path).expect("old report kept"),
+        report,
+        "the earlier job's report is never overwritten"
+    );
+    drop(service);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// `JobSpec::validate` and `Experiment::run` apply one rulebook: each bad
+/// job is refused with exactly the message the sweep panics with.
+#[test]
+fn job_validation_matches_experiment_run() {
+    let mut no_scheme = small_job();
+    no_scheme.schemes.clear();
+    let mut dup_workload = small_job();
+    dup_workload.workloads[1] = dup_workload.workloads[0].clone();
+    let mut dup_scheme = small_job();
+    dup_scheme.schemes = vec![SchemeSpec::shotgun(), SchemeSpec::shotgun()];
+    let mut bad_shape = small_job();
+    bad_shape.sampling = Some(SamplingSpec {
+        interval: 100,
+        detail: 80,
+        warmup: 40,
+    });
+    let mut too_short = small_job();
+    too_short.sampling = Some(SamplingSpec {
+        interval: 100_000,
+        detail: LEN.measure + 1,
+        warmup: 10_000,
+    });
+    for bad in [no_scheme, dup_workload, dup_scheme, bad_shape, too_short] {
+        let refusal = bad.validate().expect_err("the service refuses it");
+        let mut experiment = Experiment::new(MachineConfig::table3())
+            .workloads(bad.workloads.iter().map(|w| {
+                let base = workloads::by_name(&w.name).expect("catalog name");
+                base.scaled(w.scale.unwrap_or(1.0))
+            }))
+            .schemes(bad.schemes.iter().cloned())
+            .len(bad.len)
+            .seed(bad.seed)
+            .threads(1);
+        if let Some(sampling) = bad.sampling {
+            experiment = experiment.sampling(sampling);
+        }
+        let payload = panic::catch_unwind(AssertUnwindSafe(|| experiment.run()))
+            .expect_err("Experiment::run panics on it");
+        let message = payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|m| m.to_string()))
+            .expect("a string panic message");
+        assert_eq!(
+            message.strip_prefix("Experiment::run: "),
+            Some(refusal.as_str()),
+            "one rule, one wording"
+        );
+    }
 }
 
 #[test]

@@ -1,7 +1,8 @@
 //! `fe-serve` over TCP against a live daemon core: a repeated
 //! submission must be a 100% cache hit with a report byte-identical to
 //! the computed one, a malformed job or a hostile frame must be refused
-//! without wedging the daemon, and an idle server must stop when asked.
+//! without wedging the daemon, and a server must stop when asked, idle
+//! or holding a connection that never sends anything.
 
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -156,4 +157,34 @@ fn run_until_returns_on_stop_with_no_client() {
         );
         let _ = std::fs::remove_dir_all(&root);
     }
+}
+
+/// A client that connects and never sends its submit must not hold the
+/// drain: `run_until` shuts the read half of every open connection once
+/// it stops accepting, so the idle handler sees end-of-stream.
+#[test]
+fn run_until_returns_on_stop_with_an_idle_connection_open() {
+    let root = tmp_root("idle-conn");
+    let service = Arc::new(ExperimentService::open(&root).expect("opens"));
+    let server = Server::bind(service, "127.0.0.1:0").expect("binds");
+    let addr = server.local_addr().expect("bound");
+    let stop = Arc::new(AtomicBool::new(false));
+    let (returned, on_return) = mpsc::channel();
+    {
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || {
+            server.run_until(&stop);
+            let _ = returned.send(());
+        });
+    }
+    let idle = TcpStream::connect(addr).expect("connects");
+    // Let the server accept it and park its handler in the read.
+    std::thread::sleep(Duration::from_millis(100));
+    stop.store(true, Ordering::SeqCst);
+    assert!(
+        on_return.recv_timeout(Duration::from_secs(10)).is_ok(),
+        "run_until did not return after stop with an idle connection open"
+    );
+    drop(idle);
+    let _ = std::fs::remove_dir_all(&root);
 }
