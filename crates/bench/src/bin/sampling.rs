@@ -18,17 +18,17 @@
 
 use std::time::Instant;
 
-use fe_bench::{
-    banner, default_len, env_f64, machine, paper_shape, print_metric_table, suite, write_report,
-    WORKLOAD_ORDER,
-};
+use fe_bench::figures::{metric_table, Session};
+use fe_bench::{banner, default_len, env_f64, machine, suite, write_report, WORKLOAD_ORDER};
 use fe_sim::{SamplingSpec, SchemeSpec, SweepReport};
 use fe_trace::Trace;
 
 const SCHEMES: [&str; 3] = ["no-prefetch", "boomerang", "shotgun"];
 
 fn sweep(sampling: Option<SamplingSpec>, trace_dir: &std::path::Path) -> SweepReport {
-    let mut exp = fe_bench::experiment().trace_dir(trace_dir);
+    let mut exp = Session::from_env()
+        .experiment(&suite())
+        .trace_dir(trace_dir);
     if let Some(spec) = sampling {
         exp = exp.sampling(spec);
     }
@@ -103,20 +103,26 @@ fn main() {
         let _ = std::fs::remove_dir_all(&trace_dir);
     }
 
-    print_metric_table(
-        &full,
-        "Front-end stall cycles / kilo-instruction (full detail)",
-        &SCHEMES,
-        |s| s.front_end_stall_pki(),
-        false,
+    print!(
+        "{}",
+        metric_table(
+            &full,
+            "Front-end stall cycles / kilo-instruction (full detail)",
+            &SCHEMES,
+            |s| s.front_end_stall_pki(),
+            false,
+        )
     );
     println!();
-    print_metric_table(
-        &sampled,
-        "Front-end stall cycles / kilo-instruction (sampled)",
-        &SCHEMES,
-        |s| s.front_end_stall_pki(),
-        false,
+    print!(
+        "{}",
+        metric_table(
+            &sampled,
+            "Front-end stall cycles / kilo-instruction (sampled)",
+            &SCHEMES,
+            |s| s.front_end_stall_pki(),
+            false,
+        )
     );
 
     println!("\nPer-cell sampled error vs full detail:");
@@ -189,10 +195,10 @@ fn main() {
     }
 
     write_report(&sampled, "sampling");
-    paper_shape(
-        "sampled MPKI/IPC track full detail within the documented bounds \
+    println!(
+        "\nnote: sampled MPKI/IPC track full detail within the documented bounds \
          (fe-stall PKI within max(10%, 0.5), IPC within 5%) at a fraction \
-         of the wall clock; error shrinks as the detail fraction grows.",
+         of the wall clock; error shrinks as the detail fraction grows."
     );
 
     if !violations.is_empty() {

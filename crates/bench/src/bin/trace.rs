@@ -41,7 +41,7 @@ fn usage() -> ExitCode {
 }
 
 /// The named preset at the sweep scale — `suite()` applies
-/// `SHOTGUN_SCALE` exactly as the figure binaries do, so recorded
+/// `SHOTGUN_SCALE` exactly as `figures` does, so recorded
 /// traces fingerprint-match the programs the sweeps build.
 fn preset(name: &str) -> Option<WorkloadSpec> {
     suite().into_iter().find(|w| w.name == name)

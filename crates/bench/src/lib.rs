@@ -1,23 +1,24 @@
 #![forbid(unsafe_code)]
 //! # fe-bench — the experiment harness
 //!
-//! One binary per table/figure of the paper's evaluation (see the
-//! experiment index in the repository README), plus the `perf` and
-//! `serve` harnesses. Per-structure timings live in the repository's
-//! `perfbench/` benchmark. Shared setup lives
-//! here: every binary builds its sweep through [`experiment`], which
-//! preconfigures the [`Experiment`] session API with the Table 3
-//! machine, the Table 2 workload suite, and the evaluation seed.
+//! The paper's evaluation as one figure table ([`figures::FIGURES`]),
+//! run by the `figures` binary (see the experiment index in the
+//! repository README), plus the `consolidation`, `sampling`, `trace`,
+//! `ingest`, `perf` and `serve` tools. Per-structure timings live in
+//! the repository's `perfbench/` benchmark. Shared setup lives here:
+//! the Table 3 machine, the Table 2 workload suite, the evaluation
+//! seed and the run-length knobs.
 //!
-//! Every binary accepts the environment knobs:
+//! `figures` and the tools accept the environment knobs:
 //!
 //! * `SHOTGUN_INSTRS` — measured instructions per (workload, scheme)
-//!   cell (default per binary, typically 8M);
+//!   cell (default typically 8M); the offline analytics of Figs. 3
+//!   and 4 walk the same count;
 //! * `SHOTGUN_WARMUP` — warmup instructions (default 2-3M);
 //! * `SHOTGUN_SCALE` — workload scale factor (default 1.0; use e.g.
 //!   0.25 for quick shape checks);
 //! * `SHOTGUN_THREADS` — sweep worker threads (default: all cores);
-//! * `SHOTGUN_JSON_DIR` — when set, each binary also writes its
+//! * `SHOTGUN_JSON_DIR` — when set, each sweep also writes its
 //!   `SweepReport` as `BENCH_<figure>.json` into this directory;
 //! * `SHOTGUN_TRACE_DIR` — when set, sweeps persist each workload's
 //!   recorded control-flow trace there and reuse compatible recordings,
@@ -26,12 +27,13 @@
 //!   simulation where a binary supports it (currently `sampling`; see
 //!   `fe_sim::SamplingSpec::from_env`).
 
-use std::io::IsTerminal;
+pub mod figures;
+mod report;
 
 use fe_cfg::{workloads, WorkloadSpec};
-use fe_model::{MachineConfig, SimStats};
+use fe_model::MachineConfig;
 use fe_sim::json::Json;
-use fe_sim::{render_table, Experiment, RunLength, SamplingSpec, SweepReport};
+use fe_sim::{RunLength, SamplingSpec, SweepReport};
 
 /// Workload presentation order used by every figure (the paper's
 /// left-to-right order).
@@ -40,22 +42,13 @@ pub const WORKLOAD_ORDER: [&str; 6] = ["nutch", "streaming", "apache", "zeus", "
 /// The evaluation seed: all experiments run the same retired streams.
 pub const SEED: u64 = 0x5407;
 
-/// Default per-cell run length for figure binaries.
+/// Default per-cell run length of `figures` and the tools.
 pub fn default_len() -> RunLength {
     RunLength {
         warmup: 2_000_000,
         measure: 8_000_000,
     }
     .from_env()
-}
-
-/// Integer environment knob with `_` separators allowed — the parsing
-/// every binary otherwise reimplements.
-pub fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.replace('_', "").parse().ok())
-        .unwrap_or(default)
 }
 
 /// Floating-point environment knob (`SHOTGUN_SCALE` and friends).
@@ -68,7 +61,11 @@ pub fn env_f64(name: &str, default: f64) -> f64 {
 
 /// The six Table 2 workloads, scaled by `SHOTGUN_SCALE` if set.
 pub fn suite() -> Vec<WorkloadSpec> {
-    let scale = env_f64("SHOTGUN_SCALE", 1.0);
+    suite_at(env_f64("SHOTGUN_SCALE", 1.0))
+}
+
+/// The six Table 2 workloads, scaled by `scale`.
+pub(crate) fn suite_at(scale: f64) -> Vec<WorkloadSpec> {
     workloads::all()
         .into_iter()
         .map(|w| {
@@ -96,37 +93,6 @@ pub fn threads() -> usize {
                 .map(|n| n.get())
                 .unwrap_or(1)
         })
-}
-
-/// The standard figure-binary sweep over an explicit workload set:
-/// Table 3 machine, evaluation seed, env-tuned run length and thread
-/// count, and a stderr progress line per completed cell when attached
-/// to a terminal. Callers add schemes (and may override anything).
-pub fn experiment_on(workloads: impl IntoIterator<Item = WorkloadSpec>) -> Experiment {
-    let mut exp = Experiment::new(machine())
-        .workloads(workloads)
-        .len(default_len())
-        .seed(SEED)
-        .threads(threads());
-    if let Ok(dir) = std::env::var("SHOTGUN_TRACE_DIR") {
-        exp = exp.trace_dir(dir);
-    }
-    if std::io::stderr().is_terminal() {
-        exp.on_progress(|e| {
-            eprintln!(
-                "[{:>3}/{}] {} / {}",
-                e.completed, e.total, e.workload, e.scheme
-            );
-        })
-    } else {
-        exp
-    }
-}
-
-/// [`experiment_on`] preloaded with the Table 2 suite — what most
-/// figure binaries sweep.
-pub fn experiment() -> Experiment {
-    experiment_on(suite())
 }
 
 /// Writes `report` as `BENCH_<figure>.json` under `SHOTGUN_JSON_DIR`,
@@ -250,49 +216,6 @@ pub fn write_serve_json(run: &ServeRun) {
         Ok(()) => eprintln!("wrote {}", path.display()),
         Err(e) => eprintln!("failed to write {}: {e}", path.display()),
     }
-}
-
-/// Borrows owned labels as the `&[&str]` the series extractors take.
-fn as_refs(labels: &[impl AsRef<str>]) -> Vec<&str> {
-    labels.iter().map(|l| l.as_ref()).collect()
-}
-
-/// Prints the standard speedup-over-baseline table for `labels` in the
-/// paper's workload order.
-pub fn print_speedup_table(report: &SweepReport, labels: &[impl AsRef<str>]) {
-    let series = report.speedup_series(&WORKLOAD_ORDER, &as_refs(labels));
-    print!(
-        "{}",
-        render_table("Speedup over no-prefetch baseline", &series, "gmean", false)
-    );
-}
-
-/// Prints the standard front-end stall-cycle coverage table for
-/// `labels` in the paper's workload order.
-pub fn print_coverage_table(report: &SweepReport, labels: &[impl AsRef<str>]) {
-    let series = report.coverage_series(&WORKLOAD_ORDER, &as_refs(labels));
-    print!(
-        "{}",
-        render_table("Front-end stall cycle coverage", &series, "avg", true)
-    );
-}
-
-/// Prints a table of an arbitrary per-cell statistic for `labels` in
-/// the paper's workload order.
-pub fn print_metric_table(
-    report: &SweepReport,
-    title: &str,
-    labels: &[impl AsRef<str>],
-    metric: impl Fn(&SimStats) -> f64,
-    percent: bool,
-) {
-    let series = report.metric_series(&WORKLOAD_ORDER, &as_refs(labels), metric, false);
-    print!("{}", render_table(title, &series, "avg", percent));
-}
-
-/// Prints the closing "paper shape" note of a figure binary.
-pub fn paper_shape(text: &str) {
-    println!("\npaper shape: {text}");
 }
 
 /// Prints the standard experiment header.

@@ -1,10 +1,10 @@
 //! Report presentation: per-figure series extracted from a
-//! [`SweepReport`] and the aligned text tables the binaries print.
+//! [`SweepReport`] and the aligned text tables the figure table
+//! ([`crate::figures`]) prints.
 
 use fe_model::stats::{arithmetic_mean, geometric_mean};
 use fe_model::SimStats;
-
-use crate::experiment::SweepReport;
+use fe_sim::{SweepCell, SweepReport};
 
 /// A named series of per-workload values plus an aggregate — one group
 /// of bars in a paper figure.
@@ -18,77 +18,83 @@ pub struct Series {
     pub aggregate: f64,
 }
 
-impl SweepReport {
-    fn series_of(
-        &self,
-        workloads: &[&str],
-        schemes: &[&str],
-        value: impl Fn(&crate::experiment::SweepCell) -> f64,
-        aggregate_geo: bool,
-    ) -> Vec<Series> {
-        schemes
-            .iter()
-            .map(|scheme| {
-                let values: Vec<(String, f64)> = workloads
-                    .iter()
-                    .map(|wl| (wl.to_string(), value(self.cell_labeled(wl, scheme))))
-                    .collect();
-                let vs: Vec<f64> = values.iter().map(|v| v.1).collect();
-                let aggregate = if aggregate_geo {
-                    geometric_mean(&vs)
-                } else {
-                    arithmetic_mean(&vs)
-                };
-                Series {
-                    label: scheme.to_string(),
-                    values,
-                    aggregate,
-                }
-            })
-            .collect()
-    }
+fn series_of(
+    report: &SweepReport,
+    workloads: &[&str],
+    schemes: &[&str],
+    value: impl Fn(&SweepCell) -> f64,
+    aggregate_geo: bool,
+) -> Vec<Series> {
+    schemes
+        .iter()
+        .map(|scheme| {
+            let values: Vec<(String, f64)> = workloads
+                .iter()
+                .map(|wl| (wl.to_string(), value(report.cell_labeled(wl, scheme))))
+                .collect();
+            let vs: Vec<f64> = values.iter().map(|v| v.1).collect();
+            let aggregate = if aggregate_geo {
+                geometric_mean(&vs)
+            } else {
+                arithmetic_mean(&vs)
+            };
+            Series {
+                label: scheme.to_string(),
+                values,
+                aggregate,
+            }
+        })
+        .collect()
+}
 
-    /// Speedup-over-baseline series (Figs. 1, 7, 9, 12, 13). Panics if
-    /// the sweep ran without a baseline scheme.
-    pub fn speedup_series(&self, workloads: &[&str], schemes: &[&str]) -> Vec<Series> {
-        self.series_of(
-            workloads,
-            schemes,
-            |c| {
-                c.metrics
-                    .speedup
-                    .expect("sweep has no baseline scheme for speedups")
-            },
-            true,
-        )
-    }
+/// Speedup-over-baseline series (Figs. 1, 7, 9, 12). Panics if the
+/// sweep ran without a baseline scheme.
+pub fn speedup_series(report: &SweepReport, workloads: &[&str], schemes: &[&str]) -> Vec<Series> {
+    series_of(
+        report,
+        workloads,
+        schemes,
+        |c| {
+            c.metrics
+                .speedup
+                .expect("sweep has no baseline scheme for speedups")
+        },
+        true,
+    )
+}
 
-    /// Front-end stall-cycle coverage series (Figs. 6, 8). Panics if
-    /// the sweep ran without a baseline scheme.
-    pub fn coverage_series(&self, workloads: &[&str], schemes: &[&str]) -> Vec<Series> {
-        self.series_of(
-            workloads,
-            schemes,
-            |c| {
-                c.metrics
-                    .coverage
-                    .expect("sweep has no baseline scheme for coverage")
-            },
-            false,
-        )
-    }
+/// Front-end stall-cycle coverage series (Figs. 6, 8). Panics if the
+/// sweep ran without a baseline scheme.
+pub fn coverage_series(report: &SweepReport, workloads: &[&str], schemes: &[&str]) -> Vec<Series> {
+    series_of(
+        report,
+        workloads,
+        schemes,
+        |c| {
+            c.metrics
+                .coverage
+                .expect("sweep has no baseline scheme for coverage")
+        },
+        false,
+    )
+}
 
-    /// Series from an arbitrary per-cell statistic (accuracy, fill
-    /// latency, MPKI, ...).
-    pub fn metric_series(
-        &self,
-        workloads: &[&str],
-        schemes: &[&str],
-        metric: impl Fn(&SimStats) -> f64,
-        aggregate_geo: bool,
-    ) -> Vec<Series> {
-        self.series_of(workloads, schemes, |c| metric(&c.stats), aggregate_geo)
-    }
+/// Series from an arbitrary per-cell statistic (accuracy, fill
+/// latency, MPKI, ...).
+pub fn metric_series(
+    report: &SweepReport,
+    workloads: &[&str],
+    schemes: &[&str],
+    metric: impl Fn(&SimStats) -> f64,
+    aggregate_geo: bool,
+) -> Vec<Series> {
+    series_of(
+        report,
+        workloads,
+        schemes,
+        |c| metric(&c.stats),
+        aggregate_geo,
+    )
 }
 
 /// Renders series as an aligned text table: workloads as rows, series
@@ -126,9 +132,8 @@ pub fn render_table(title: &str, series: &[Series], aggregate_name: &str, percen
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::{CellMetrics, SweepCell, WorkloadId};
-    use crate::runner::{RunLength, SchemeSpec};
     use fe_model::stats::{coverage, speedup};
+    use fe_sim::{CellMetrics, RunLength, SchemeSpec, WorkloadId};
 
     fn stats(cycles: u64, instrs: u64, icache_stalls: u64) -> SimStats {
         let mut s = SimStats {
@@ -189,7 +194,7 @@ mod tests {
     #[test]
     fn speedup_series_computes_gmean() {
         let report = fake_report();
-        let series = report.speedup_series(&["a", "b"], &["fast"]);
+        let series = speedup_series(&report, &["a", "b"], &["fast"]);
         assert_eq!(series.len(), 1);
         assert!((series[0].values[0].1 - 2.0).abs() < 1e-12);
         assert!((series[0].aggregate - 2.0).abs() < 1e-12);
@@ -198,7 +203,7 @@ mod tests {
     #[test]
     fn coverage_series_computes_mean() {
         let report = fake_report();
-        let series = report.coverage_series(&["a", "b"], &["fast"]);
+        let series = coverage_series(&report, &["a", "b"], &["fast"]);
         assert!((series[0].values[0].1 - 0.75).abs() < 1e-12);
         assert!((series[0].aggregate - 0.75).abs() < 1e-12);
     }
@@ -206,14 +211,14 @@ mod tests {
     #[test]
     fn metric_series_applies_function() {
         let report = fake_report();
-        let series = report.metric_series(&["a", "b"], &["base"], |s| s.ipc(), false);
+        let series = metric_series(&report, &["a", "b"], &["base"], |s| s.ipc(), false);
         assert!((series[0].values[0].1 - 0.5).abs() < 1e-12);
     }
 
     #[test]
     fn table_renders_all_rows() {
         let report = fake_report();
-        let series = report.speedup_series(&["a", "b"], &["fast"]);
+        let series = speedup_series(&report, &["a", "b"], &["fast"]);
         let table = render_table("Figure X", &series, "gmean", false);
         assert!(table.contains("Figure X"));
         assert!(table.contains("gmean"));

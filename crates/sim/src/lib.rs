@@ -57,7 +57,6 @@ pub mod experiment;
 pub mod json;
 pub mod multi;
 mod pipeline;
-pub mod report;
 pub mod runner;
 pub mod sampling;
 pub mod snapshot;
@@ -76,7 +75,6 @@ pub use experiment::{
 };
 pub use fe_trace::ProgramFingerprint;
 pub use multi::{derive_ctx_seed, ContextStats, MultiSimulator, MultiStats};
-pub use report::{render_table, Series};
 pub use runner::{
     run_scheme, run_scheme_replayed, run_scheme_sampled, run_scheme_sampled_replayed,
     run_scheme_store_replayed, RunLength, SchemeSpec,
