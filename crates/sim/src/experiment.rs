@@ -253,8 +253,9 @@ impl Experiment {
     /// Persists each workload's recorded trace under `dir` (created if
     /// missing) and reuses any compatible recording found there —
     /// matching seed and program fingerprint, and at least as long as
-    /// this sweep needs. The figure binaries plumb `SHOTGUN_TRACE_DIR`
-    /// here, so repeated sweeps skip the executor walk entirely.
+    /// this sweep needs. The `fe-bench` binaries plumb
+    /// `SHOTGUN_TRACE_DIR` here, so repeated sweeps skip the executor
+    /// walk entirely.
     pub fn trace_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.trace_dir = Some(dir.into());
         self
@@ -751,8 +752,8 @@ pub fn check_sweep(
 }
 
 /// Produces the replay trace for one workload: reuses a compatible
-/// recording from `dir` when present — an ingested v2 store
-/// (`.fets`, checked first) or a flat v1 trace (`.fetr`) — otherwise
+/// recording from `dir` when present — a v2 store (`.fets`, written by
+/// `trace convert`, checked first) or a flat v1 trace (`.fetr`) — otherwise
 /// records a fresh walk (and persists it when `dir` is set). A cached
 /// trace is compatible when its seed and program fingerprint match and
 /// it is at least as long as this sweep needs — longer recordings
@@ -760,7 +761,8 @@ pub fn check_sweep(
 /// cache. Stores are reconstructed to flat traces here (lossless, see
 /// [`fe_trace::TraceStore::to_trace`]) so every downstream path — each
 /// cell's own replayer, sampled, snapshot, content-addressed cache —
-/// works over an ingested workload unchanged.
+/// works over a store unchanged. A store that fails validation is
+/// skipped like a missing one, and the workload is re-recorded.
 fn obtain_trace(
     program: &Program,
     seed: u64,
@@ -872,8 +874,8 @@ fn parallel_indexed_cancellable<T: Send>(
         .expect("result-slot mutex poisoned: a worker panicked")
 }
 
-/// Metrics derived once per cell when the sweep completes — what the
-/// figure binaries previously recomputed ad hoc.
+/// Metrics derived once per cell when the sweep completes, so no
+/// consumer of a report recomputes them.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CellMetrics {
     /// Instructions per cycle.

@@ -160,10 +160,10 @@ impl RunLength {
     };
 
     /// Reads `SHOTGUN_WARMUP` / `SHOTGUN_INSTRS` from the environment,
-    /// falling back to `self` — the figure binaries' precision knob.
+    /// falling back to `self` — the `fe-bench` binaries' precision knob.
     pub fn from_env(self) -> RunLength {
         let parse =
-            // audit-allow(no-env-in-engine): figure-binary precision knobs — read once at startup by the binaries that opt in via from_env, never during measurement, defaults everywhere else
+            // audit-allow(no-env-in-engine): fe-bench precision knobs — read once at startup by the binaries that opt in via from_env, never during measurement, defaults everywhere else
             |name: &str| -> Option<u64> { std::env::var(name).ok()?.replace('_', "").parse().ok() };
         RunLength {
             warmup: parse("SHOTGUN_WARMUP").unwrap_or(self.warmup),

@@ -20,6 +20,10 @@
 pub(crate) const MIN_MATCH: usize = 4;
 /// Longest encodable match: [`MIN_MATCH`] plus a `u8` extension.
 const MAX_MATCH: usize = MIN_MATCH + u8::MAX as usize;
+/// Most raw bytes one stored byte can stand for: a 3-byte match token
+/// expands to at most [`MAX_MATCH`] bytes. The store rejects a chunk
+/// declaring more before allocating for it.
+pub(crate) const MAX_EXPANSION: usize = MAX_MATCH.div_ceil(3);
 /// Farthest back a match may reach (`u16` distance, zero reserved).
 const MAX_DISTANCE: usize = u16::MAX as usize;
 /// log2 of the hash-table slot count.

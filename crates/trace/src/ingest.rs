@@ -1,17 +1,15 @@
-//! The trace ingestion pipeline: external capture in, verified v2
-//! store out.
+//! The trace conversion pipeline: a v1 recording or v2 store in, a
+//! verified v2 store out.
 //!
 //! [`ingest_bytes`] (and the file wrapper [`ingest_file`]) does the
-//! whole journey the `fe-bench` `ingest` binary exposes on the command
-//! line:
+//! whole journey that `trace convert` (in `fe-bench`) exposes on the
+//! command line:
 //!
-//! 1. **Detect** the source format from its leading bytes
-//!    ([`SourceFormat`]) — a v1 `fe-trace` recording, a v2 store
-//!    (re-chunked/normalized), or a CBP-style branch capture (textual
-//!    or binary).
-//! 2. **Decode** it into a flat [`Trace`] via the format's importer,
-//!    applying that importer's full validation (and, for text captures
-//!    with [`IngestOptions::lossy`], its loss accounting).
+//! 1. **Detect** the source format from its header ([`SourceFormat`]):
+//!    a v1 `fe-trace` recording, or a v2 store (re-chunked). Anything
+//!    else is rejected with [`TraceError::BadMagic`].
+//! 2. **Decode** it into a flat [`Trace`], applying that format's
+//!    full validation.
 //! 3. **Convert** to a chunk-compressed, indexed [`TraceStore`]
 //!    carrying the caller's provenance string.
 //! 4. **Verify** losslessness before anything is written: the store is
@@ -21,30 +19,31 @@
 //!    must equal the source exactly. Any mismatch is a named
 //!    [`TraceError::VerifyFailed`], and nothing reaches disk.
 //! 5. **Report**: the returned [`IngestReport`] carries the counts,
-//!    sizes, fingerprint and loss accounting a caller needs to print
-//!    or emit as JSON.
+//!    sizes and fingerprint a caller needs to print or emit as JSON.
 //!
 //! ```
-//! use fe_trace::{ingest_bytes, IngestOptions};
+//! use fe_cfg::workloads;
+//! use fe_trace::{ingest_bytes, IngestOptions, Trace};
 //!
-//! let capture = "0x1000 0x2000 L 1\n0x2000 0x0 C 0\n0x2004 0x1004 R 1\n";
+//! let program = workloads::nutch().scaled(0.05).build();
+//! let trace = Trace::record(&program, 42, 10_000);
 //! let opts = IngestOptions {
-//!     provenance: "doctest capture".to_string(),
+//!     provenance: "doctest recording".to_string(),
 //!     ..IngestOptions::default()
 //! };
-//! let (store, report) = ingest_bytes(capture.as_bytes(), "demo", &opts).unwrap();
-//! assert_eq!(report.records, 3);
+//! let (store, report) = ingest_bytes(&trace.to_bytes(), &opts).unwrap();
+//! assert_eq!(report.records, trace.header().block_count);
 //! assert!(report.verified);
-//! assert_eq!(store.provenance(), "doctest capture");
+//! assert_eq!(store.provenance(), "doctest recording");
+//! assert!(store.matches(&program));
 //! ```
 
 use std::path::Path;
 
 use fe_model::BlockSource;
 
-use crate::import::{import_cbp, import_cbp_binary, import_cbp_lossy, CBP_BINARY_MAGIC};
 use crate::store::{TraceStore, DEFAULT_CHUNK_RECORDS, STORE_VERSION};
-use crate::{ProgramFingerprint, Trace, TraceError, MAGIC, VERSION};
+use crate::{ProgramFingerprint, Trace, TraceError, MAGIC};
 
 /// The source encodings the ingest pipeline recognizes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -54,11 +53,6 @@ pub enum SourceFormat {
     /// A v2 chunked store (`b"FETR"`, version 2) — re-ingesting one
     /// re-chunks it under the new options.
     FetsV2,
-    /// A textual CBP-style branch capture (the fallback when no known
-    /// magic matches; the text parser reports garbage precisely).
-    CbpText,
-    /// A binary CBP-style branch capture (`b"CBPB"`).
-    CbpBinary,
 }
 
 impl SourceFormat {
@@ -67,53 +61,35 @@ impl SourceFormat {
         match self {
             SourceFormat::FetrV1 => "fetr-v1",
             SourceFormat::FetsV2 => "fets-v2",
-            SourceFormat::CbpText => "cbp-text",
-            SourceFormat::CbpBinary => "cbp-binary",
         }
     }
 }
 
-/// Detects the source format from the leading bytes. Unknown magic
-/// falls back to [`SourceFormat::CbpText`]: the textual parser is the
-/// one importer that can describe arbitrary garbage line-by-line.
-pub fn detect_format(bytes: &[u8]) -> SourceFormat {
-    if bytes.len() >= 6 && bytes[..4] == MAGIC {
-        let version = u16::from_le_bytes([bytes[4], bytes[5]]);
-        if version == STORE_VERSION {
-            return SourceFormat::FetsV2;
-        }
-        if version == VERSION {
-            return SourceFormat::FetrV1;
-        }
-        // FETR magic with an unknown version: still one of ours, so
-        // let the v1 parser produce its named version error rather
-        // than misreading the file as text.
-        return SourceFormat::FetrV1;
+/// Detects the source format from the header. Bytes that do not open
+/// with [`MAGIC`] are [`TraceError::BadMagic`]. Every `FETR` file that
+/// is not a v2 store is handed to the v1 parser, which names what is
+/// wrong with a truncated header or an unknown version.
+pub fn detect_format(bytes: &[u8]) -> Result<SourceFormat, TraceError> {
+    if !bytes.starts_with(&MAGIC) {
+        return Err(TraceError::BadMagic);
     }
-    if bytes.len() >= 4 && bytes[..4] == CBP_BINARY_MAGIC {
-        return SourceFormat::CbpBinary;
-    }
-    SourceFormat::CbpText
+    Ok(match bytes.get(4..6) {
+        Some(&[lo, hi]) if u16::from_le_bytes([lo, hi]) == STORE_VERSION => SourceFormat::FetsV2,
+        _ => SourceFormat::FetrV1,
+    })
 }
 
 /// Knobs of one ingest run.
 #[derive(Clone, Debug)]
 pub struct IngestOptions {
     /// Workload name recorded in the store header. `None` keeps the
-    /// source's embedded name (v1/v2 sources) or uses the caller's
-    /// default (CBP captures, which carry no name).
+    /// source's embedded name.
     pub name: Option<String>,
     /// Free-form origin string stored with the trace (capture tool,
     /// machine, date — whatever identifies the data's source).
     pub provenance: String,
     /// Records per chunk of the output store.
     pub chunk_records: u32,
-    /// Tolerate malformed lines in textual captures, counting them in
-    /// the report instead of failing (see
-    /// [`import_cbp_lossy`]). Binary formats are
-    /// always strict — their records are self-delimiting, so a bad one
-    /// means a broken capture, not line noise.
-    pub lossy: bool,
 }
 
 impl Default for IngestOptions {
@@ -122,12 +98,11 @@ impl Default for IngestOptions {
             name: None,
             provenance: String::new(),
             chunk_records: DEFAULT_CHUNK_RECORDS,
-            lossy: false,
         }
     }
 }
 
-/// What one ingest run did — the facts the `ingest` binary prints and
+/// What one ingest run did — the facts `trace convert` prints and
 /// emits as JSON.
 #[derive(Clone, Debug)]
 pub struct IngestReport {
@@ -149,13 +124,7 @@ pub struct IngestReport {
     pub payload_raw_bytes: u64,
     /// Stored payload bytes after chunk compression.
     pub payload_stored_bytes: u64,
-    /// Malformed lines skipped (lossy text ingest only; always 0
-    /// otherwise).
-    pub skipped: u64,
-    /// First parse error of a lossy ingest, if any lines were skipped.
-    pub first_error: Option<String>,
-    /// Identity of the ingested stream (content fingerprint for
-    /// imports, program fingerprint for recordings).
+    /// Identity of the program the stream was recorded against.
     pub fingerprint: ProgramFingerprint,
     /// Whether post-conversion verification ran and passed (always
     /// `true` on success — a failure is an error, not a flag).
@@ -164,52 +133,21 @@ pub struct IngestReport {
 
 /// Ingests an in-memory source: detect, decode, convert, verify —
 /// returning the verified store and its report. See the module docs
-/// for the pipeline; `default_name` names the trace when the source
-/// carries no name of its own (CBP captures) and
-/// [`IngestOptions::name`] is unset.
+/// for the pipeline.
 pub fn ingest_bytes(
     bytes: &[u8],
-    default_name: &str,
     opts: &IngestOptions,
 ) -> Result<(TraceStore, IngestReport), TraceError> {
-    let format = detect_format(bytes);
-    let mut skipped = 0u64;
-    let mut first_error = None;
+    let format = detect_format(bytes)?;
     let trace = match format {
-        SourceFormat::FetrV1 => {
-            let trace = Trace::from_bytes(bytes)?;
-            match &opts.name {
-                Some(name) => trace.with_name(name),
-                None => trace,
-            }
-        }
-        SourceFormat::FetsV2 => {
-            let trace = TraceStore::from_bytes(bytes)?.to_trace();
-            match &opts.name {
-                Some(name) => trace.with_name(name),
-                None => trace,
-            }
-        }
-        SourceFormat::CbpText => {
-            let name = opts.name.as_deref().unwrap_or(default_name);
-            let text = std::str::from_utf8(bytes).map_err(|_| {
-                TraceError::Corrupt("source is neither a known binary format nor UTF-8".into())
-            })?;
-            if opts.lossy {
-                let report = import_cbp_lossy(text, name)?;
-                skipped = report.skipped;
-                first_error = report.first_error;
-                report.trace
-            } else {
-                import_cbp(text, name)?
-            }
-        }
-        SourceFormat::CbpBinary => {
-            let name = opts.name.as_deref().unwrap_or(default_name);
-            import_cbp_binary(bytes, name)?
-        }
+        SourceFormat::FetrV1 => Trace::from_bytes(bytes)?,
+        SourceFormat::FetsV2 => TraceStore::from_bytes(bytes)?.to_trace(),
     };
-    let store = TraceStore::from_trace_with(&trace, &opts.provenance, opts.chunk_records);
+    let trace = match &opts.name {
+        Some(name) => trace.with_name(name),
+        None => trace,
+    };
+    let store = TraceStore::try_from_trace(&trace, &opts.provenance, opts.chunk_records)?;
     let store_bytes = verify(&store, &trace)?;
     let h = store.header();
     let report = IngestReport {
@@ -222,27 +160,18 @@ pub fn ingest_bytes(
         chunks: store.chunk_count() as u64,
         payload_raw_bytes: store.raw_len() as u64,
         payload_stored_bytes: store.stored_len() as u64,
-        skipped,
-        first_error,
         fingerprint: h.fingerprint,
         verified: true,
     };
     Ok((store, report))
 }
 
-/// [`ingest_bytes`] over a file, defaulting the trace name to the
-/// file stem.
+/// [`ingest_bytes`] over a file.
 pub fn ingest_file(
     path: impl AsRef<Path>,
     opts: &IngestOptions,
 ) -> Result<(TraceStore, IngestReport), TraceError> {
-    let path = path.as_ref();
-    let bytes = std::fs::read(path)?;
-    let stem = path
-        .file_stem()
-        .map(|s| s.to_string_lossy().into_owned())
-        .unwrap_or_else(|| "ingested".to_string());
-    ingest_bytes(&bytes, &stem, opts)
+    ingest_bytes(&std::fs::read(path)?, opts)
 }
 
 /// Proves the converted store reproduces `reference` exactly, before
@@ -306,30 +235,26 @@ fn verify(store: &TraceStore, reference: &Trace) -> Result<u64, TraceError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::import::export_cbp_binary;
     use fe_cfg::workloads;
-
-    const CAPTURE: &str = "# three-branch capture\n\
-                           0x1000 0x2000 L 1\n\
-                           0x2000 0x0 C 0\n\
-                           0x2004 0x1004 R 1\n";
 
     #[test]
     fn detects_every_format() {
         let program = workloads::nutch().scaled(0.05).build();
         let trace = Trace::record(&program, 3, 2_000);
-        assert_eq!(detect_format(&trace.to_bytes()), SourceFormat::FetrV1);
-        let store = TraceStore::from_trace(&trace, "");
-        assert_eq!(detect_format(&store.to_bytes()), SourceFormat::FetsV2);
-        assert_eq!(detect_format(CAPTURE.as_bytes()), SourceFormat::CbpText);
-        let binary = export_cbp_binary(
-            import_cbp(CAPTURE, "cap")
-                .unwrap()
-                .reader()
-                .map(|r| r.unwrap()),
+        assert_eq!(
+            detect_format(&trace.to_bytes()).unwrap(),
+            SourceFormat::FetrV1
         );
-        assert_eq!(detect_format(&binary), SourceFormat::CbpBinary);
-        assert_eq!(detect_format(b""), SourceFormat::CbpText, "text fallback");
+        let store = TraceStore::from_trace(&trace, "");
+        assert_eq!(
+            detect_format(&store.to_bytes()).unwrap(),
+            SourceFormat::FetsV2
+        );
+        // A bare magic goes to the v1 parser, which names the truncation.
+        assert_eq!(detect_format(b"FETR").unwrap(), SourceFormat::FetrV1);
+        for garbage in [&b""[..], b"FET", b"0x1000 0x2000 L 1\n"] {
+            assert!(matches!(detect_format(garbage), Err(TraceError::BadMagic)));
+        }
     }
 
     #[test]
@@ -341,44 +266,17 @@ mod tests {
             chunk_records: 512,
             ..IngestOptions::default()
         };
-        let (store, report) =
-            ingest_bytes(&trace.to_bytes(), "ignored-default", &opts).expect("ingests");
+        let (store, report) = ingest_bytes(&trace.to_bytes(), &opts).expect("ingests");
         assert_eq!(report.format, SourceFormat::FetrV1);
-        assert_eq!(report.name, "zeus", "embedded name wins over default");
+        assert_eq!(report.name, "zeus", "the embedded name is kept");
         assert_eq!(report.records, trace.header().block_count);
         assert_eq!(report.instrs, trace.header().instr_count);
         assert_eq!(report.fingerprint, trace.header().fingerprint);
         assert!(report.verified);
         assert!(report.chunks > 1);
-        assert_eq!(report.skipped, 0);
         // The store losslessly reproduces the source.
         assert_eq!(store.to_trace().to_bytes(), trace.to_bytes());
         assert!(store.matches(&program));
-    }
-
-    #[test]
-    fn ingests_text_and_binary_captures_identically() {
-        let opts = IngestOptions {
-            provenance: "capture".into(),
-            ..IngestOptions::default()
-        };
-        let (text_store, text_report) =
-            ingest_bytes(CAPTURE.as_bytes(), "cap", &opts).expect("text ingests");
-        let binary = export_cbp_binary(
-            import_cbp(CAPTURE, "cap")
-                .unwrap()
-                .reader()
-                .map(|r| r.unwrap()),
-        );
-        let (bin_store, bin_report) = ingest_bytes(&binary, "cap", &opts).expect("binary ingests");
-        assert_eq!(text_report.format, SourceFormat::CbpText);
-        assert_eq!(bin_report.format, SourceFormat::CbpBinary);
-        assert_eq!(text_store, bin_store, "one capture, one store");
-        assert_eq!(text_report.fingerprint, bin_report.fingerprint);
-        assert!(
-            !text_report.fingerprint.is_unknown(),
-            "imports carry a content fingerprint"
-        );
     }
 
     #[test]
@@ -391,7 +289,7 @@ mod tests {
             chunk_records: 128,
             ..IngestOptions::default()
         };
-        let (fine, report) = ingest_bytes(&coarse.to_bytes(), "x", &opts).expect("re-ingests");
+        let (fine, report) = ingest_bytes(&coarse.to_bytes(), &opts).expect("re-ingests");
         assert_eq!(report.format, SourceFormat::FetsV2);
         assert!(fine.chunk_count() > coarse.chunk_count());
         assert_eq!(fine.provenance(), "re-chunked");
@@ -400,32 +298,20 @@ mod tests {
 
     #[test]
     fn name_override_applies_everywhere() {
+        let program = workloads::nutch().scaled(0.05).build();
+        let bytes = Trace::record(&program, 3, 2_000).to_bytes();
         let opts = IngestOptions {
             name: Some("renamed".into()),
             ..IngestOptions::default()
         };
-        let (store, report) = ingest_bytes(CAPTURE.as_bytes(), "cap", &opts).expect("ingests");
+        let (store, report) = ingest_bytes(&bytes, &opts).expect("ingests");
         assert_eq!(report.name, "renamed");
         assert_eq!(store.header().name, "renamed");
-        // Renaming never changes content identity.
-        let (_, plain) =
-            ingest_bytes(CAPTURE.as_bytes(), "cap", &IngestOptions::default()).expect("ingests");
+        // Renaming never changes the stream's identity.
+        let (_, plain) = ingest_bytes(&bytes, &IngestOptions::default()).expect("ingests");
+        assert_eq!(plain.name, "nutch");
         assert_eq!(report.fingerprint, plain.fingerprint);
-    }
-
-    #[test]
-    fn lossy_ingest_accounts_for_its_losses() {
-        let dirty = "0x1000 0x2000 L 1\ngarbage line\n0x2000 0x0 C 0\n";
-        let strict = ingest_bytes(dirty.as_bytes(), "cap", &IngestOptions::default());
-        assert!(strict.is_err(), "strict mode rejects the dirty capture");
-        let opts = IngestOptions {
-            lossy: true,
-            ..IngestOptions::default()
-        };
-        let (_, report) = ingest_bytes(dirty.as_bytes(), "cap", &opts).expect("lossy ingests");
-        assert_eq!(report.records, 2);
-        assert_eq!(report.skipped, 1);
-        assert!(report.first_error.expect("kept").contains("line 2"));
+        assert!(store.matches(&program));
     }
 
     #[test]
@@ -437,23 +323,32 @@ mod tests {
         // Truncated v1 recording.
         let bytes = trace.to_bytes();
         assert!(matches!(
-            ingest_bytes(&bytes[..bytes.len() - 3], "x", &opts),
+            ingest_bytes(&bytes[..bytes.len() - 3], &opts),
             Err(TraceError::Truncated { .. })
         ));
         // Bit-flipped v1 recording.
         let mut flipped = bytes.clone();
         flipped[40] ^= 1;
         assert!(matches!(
-            ingest_bytes(&flipped, "x", &opts),
+            ingest_bytes(&flipped, &opts),
             Err(TraceError::ChecksumMismatch)
         ));
-        // FETR magic with a future version: named version error, not a
-        // text misparse.
+        // FETR magic with a future version: named version error.
         let mut versioned = bytes.clone();
         versioned[4] = 0x7f;
         assert!(matches!(
-            ingest_bytes(&versioned, "x", &opts),
+            ingest_bytes(&versioned, &opts),
             Err(TraceError::UnsupportedVersion(0x7f))
+        ));
+        // A v1 payload damaged under a recomputed checksum: an error,
+        // not a panic in the conversion.
+        let mut resealed = bytes.clone();
+        let last = resealed.len() - 1;
+        resealed[last] = 0xff;
+        crate::tests::reseal(&mut resealed);
+        assert!(matches!(
+            ingest_bytes(&resealed, &opts),
+            Err(TraceError::Corrupt(_))
         ));
         // Damaged v2 store.
         let store_bytes = TraceStore::from_trace(&trace, "p").to_bytes();
@@ -461,29 +356,15 @@ mod tests {
         let last = store_flipped.len() - 1;
         store_flipped[last] ^= 0xff;
         assert!(matches!(
-            ingest_bytes(&store_flipped, "x", &opts),
+            ingest_bytes(&store_flipped, &opts),
             Err(TraceError::ChecksumMismatch)
         ));
-        // Garbage text.
-        assert!(matches!(
-            ingest_bytes(b"not a capture at all", "x", &opts),
-            Err(TraceError::Corrupt(_))
-        ));
-        // Non-UTF-8 garbage that matches no magic.
-        assert!(matches!(
-            ingest_bytes(&[0x80, 0xfe, 0xff, 0x00, 0x01], "x", &opts),
-            Err(TraceError::Corrupt(_))
-        ));
-    }
-
-    #[test]
-    fn ingest_file_defaults_the_name_to_the_stem() {
-        let dir = std::env::temp_dir();
-        let path = dir.join("fe_trace_ingest_stem_test.cbp");
-        std::fs::write(&path, CAPTURE).expect("write fixture");
-        let (store, report) = ingest_file(&path, &IngestOptions::default()).expect("ingests");
-        let _ = std::fs::remove_file(&path);
-        assert_eq!(report.name, "fe_trace_ingest_stem_test");
-        assert_eq!(store.header().name, "fe_trace_ingest_stem_test");
+        // Anything that is not a trace file.
+        for garbage in [&b"not a trace at all"[..], &[0x80, 0xfe, 0xff, 0x00, 0x01]] {
+            assert!(matches!(
+                ingest_bytes(garbage, &opts),
+                Err(TraceError::BadMagic)
+            ));
+        }
     }
 }

@@ -7,8 +7,7 @@
 //! timing model for every front-end configuration. This crate is that
 //! layer for the reproduction: a compact binary format for
 //! [`RetiredBlock`] streams plus record/replay machinery, so one
-//! executor walk can feed every `(workload, scheme)` cell of a sweep —
-//! and so external traces can become a workload class of their own.
+//! executor walk can feed every `(workload, scheme)` cell of a sweep.
 //!
 //! * [`Trace`] — an immutable recorded stream: a validated header and
 //!   the encoded record payload. In-memory ([`Trace::from_bytes`] /
@@ -25,11 +24,9 @@
 //! * [`store`] — the v2 chunk-compressed, indexed on-disk format
 //!   ([`TraceStore`]): same record stream, re-packaged so seeking
 //!   decodes only the chunks it lands in.
-//! * [`import`] — decoders for external trace formats (CBP-style
-//!   branch traces, textual and binary).
-//! * [`ingest`] — the conversion pipeline tying those together:
-//!   autodetect an external format, convert to a [`TraceStore`],
-//!   verify losslessness, and report what happened.
+//! * [`ingest`] — the conversion pipeline between the two: detect a
+//!   v1 or v2 file, convert it to a [`TraceStore`], verify
+//!   losslessness, and report what happened.
 //!
 //! ```
 //! use fe_cfg::workloads;
@@ -56,7 +53,7 @@
 //! ```text
 //! magic   b"FETR"        version u16 (1)        flags u16 (0)
 //! seed    u64            block_count u64        instr_count u64
-//! program_blocks u64     program_digest u64     (0,0 = unknown origin)
+//! program_blocks u64     program_digest u64
 //! payload_len u64        checksum u64 (FNV-1a)
 //! name_len u16, name bytes (UTF-8)
 //! <payload_len bytes of records>
@@ -84,7 +81,6 @@ use fe_model::{Addr, BlockSource, RetiredBlock};
 
 mod codec;
 mod compress;
-pub mod import;
 pub mod ingest;
 pub mod store;
 
@@ -177,12 +173,6 @@ pub struct ProgramFingerprint {
 }
 
 impl ProgramFingerprint {
-    /// The "unknown origin" fingerprint carried by imported traces.
-    pub const UNKNOWN: ProgramFingerprint = ProgramFingerprint {
-        blocks: 0,
-        digest: 0,
-    };
-
     /// Fingerprints `program`.
     pub fn of(program: &Program) -> Self {
         let count = program.block_count();
@@ -203,19 +193,14 @@ impl ProgramFingerprint {
             digest: fnv1a(&bytes),
         }
     }
-
-    /// `true` for [`Self::UNKNOWN`].
-    pub fn is_unknown(&self) -> bool {
-        *self == Self::UNKNOWN
-    }
 }
 
 /// Metadata of a recorded trace.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TraceHeader {
-    /// Workload (or import source) name.
+    /// Workload name.
     pub name: String,
-    /// Executor seed the stream was recorded with (0 for imports).
+    /// Executor seed the stream was recorded with.
     pub seed: u64,
     /// Number of records in the payload.
     pub block_count: u64,
@@ -465,22 +450,13 @@ impl TraceWriter {
 
     /// Seals the recording.
     pub fn finish(self) -> Trace {
-        let fingerprint = self.fingerprint;
-        self.finish_with_fingerprint(fingerprint)
-    }
-
-    /// Seals the recording under a fingerprint computed *during*
-    /// recording — for sources (importers) whose identity is the
-    /// record stream itself rather than a static program known
-    /// up front.
-    pub fn finish_with_fingerprint(self, fingerprint: ProgramFingerprint) -> Trace {
         Trace {
             header: TraceHeader {
                 name: self.name,
                 seed: self.seed,
                 block_count: self.block_count,
                 instr_count: self.instr_count,
-                fingerprint,
+                fingerprint: self.fingerprint,
             },
             payload: self.payload,
         }
@@ -599,6 +575,16 @@ impl BlockSource for TraceReplayer<'_> {
 mod tests {
     use super::*;
     use fe_cfg::workloads;
+    use proptest::prelude::*;
+
+    /// Recomputes the whole-file checksum of a serialized trace or
+    /// store after a test edits its bytes, so the edit gets past the
+    /// checksum to the structural checks behind it.
+    pub(crate) fn reseal(bytes: &mut [u8]) {
+        bytes[CHECKSUM_RANGE].fill(0);
+        let checksum = fnv1a(bytes);
+        bytes[CHECKSUM_RANGE].copy_from_slice(&checksum.to_le_bytes());
+    }
 
     fn small_trace() -> (Program, Trace) {
         let program = workloads::nutch().scaled(0.05).build();
@@ -742,5 +728,56 @@ mod tests {
         let all = fast.skip_instrs(u64::MAX);
         assert_eq!(all, trace.header().instr_count);
         assert_eq!(fast.next_block(), None);
+    }
+
+    /// A small v1 recording and its v2 store, serialized.
+    fn valid_files() -> &'static [Vec<u8>; 2] {
+        static FILES: std::sync::OnceLock<[Vec<u8>; 2]> = std::sync::OnceLock::new();
+        FILES.get_or_init(|| {
+            let program = workloads::zeus().scaled(0.05).build();
+            let trace = Trace::record(&program, 9, 3_000);
+            let store = TraceStore::from_trace_with(&trace, "decoder property", 64);
+            [trace.to_bytes(), store.to_bytes()]
+        })
+    }
+
+    /// Loads `bytes` every way the crate can, replaying whatever loads
+    /// in full: any of these panicking fails the property below.
+    fn load_and_replay(bytes: &[u8]) {
+        if let Ok(trace) = Trace::from_bytes(bytes) {
+            trace.reader().for_each(drop);
+        }
+        if let Ok(store) = TraceStore::from_bytes(bytes) {
+            store.to_trace();
+            let mut replay = store.replayer();
+            while replay.next_block().is_some() {}
+            let mut seek = store.replayer();
+            seek.skip_instrs(store.header().instr_count / 2);
+            while seek.next_block().is_some() {}
+        }
+        let _ = ingest_bytes(bytes, &IngestOptions::default());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        // Neither decoder panics on arbitrary bytes, nor on a valid
+        // file with one byte replaced under a recomputed checksum (the
+        // damage a checksum cannot catch): each load is an error or a
+        // value that replays in full.
+        #[test]
+        fn decoders_survive_arbitrary_and_resealed_bytes(
+            noise in prop::collection::vec(0u8..=255, 0..200),
+            at in 0usize..1 << 20,
+            byte in 0u8..=255,
+        ) {
+            load_and_replay(&noise);
+            for file in valid_files() {
+                let mut damaged = file.clone();
+                let at = at % damaged.len();
+                damaged[at] = byte;
+                reseal(&mut damaged);
+                load_and_replay(&damaged);
+            }
+        }
     }
 }

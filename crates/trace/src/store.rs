@@ -62,6 +62,11 @@ const INDEX_ENTRY_LEN: usize = 17;
 /// Chunk flag bit: payload is LZ-compressed (raw otherwise).
 const CHUNK_COMPRESSED: u8 = 1;
 
+/// Why the replayer's chunk decodes cannot fail: both constructors
+/// ([`TraceStore::from_bytes`] and the `from_trace` family) validate
+/// the store, decoding every chunk once.
+const CHUNKS_VALIDATED: &str = "every chunk decoded when the store was built or loaded";
+
 /// One chunk's index entry: everything a seek needs to know about the
 /// chunk without touching its bytes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -81,7 +86,7 @@ pub struct ChunkEntry {
 
 /// A chunk-compressed, indexed trace store — the v2 on-disk format.
 ///
-/// Build one from a recorded or imported v1 [`Trace`] with
+/// Build one from a recorded v1 [`Trace`] with
 /// [`TraceStore::from_trace`]; go back with [`TraceStore::to_trace`]
 /// (lossless, byte-identical serialization). [`TraceStore::replayer`]
 /// feeds a simulator directly, decoding chunks lazily.
@@ -106,65 +111,159 @@ impl TraceStore {
     ///
     /// # Panics
     ///
-    /// Panics if `trace`'s payload fails to decode (unreachable for a
-    /// trace that passed [`Trace::from_bytes`] validation or came from
-    /// a recorder).
+    /// Panics if `trace`'s records do not decode, or disagree with its
+    /// header. A recorder never produces such a trace; a damaged file
+    /// whose checksum was recomputed over the damage can, which is why
+    /// the ingest pipeline converts through a path that returns the
+    /// error instead.
     pub fn from_trace(trace: &Trace, provenance: &str) -> TraceStore {
         Self::from_trace_with(trace, provenance, DEFAULT_CHUNK_RECORDS)
     }
 
     /// [`TraceStore::from_trace`] with an explicit chunk record count
     /// (clamped into `1..=1<<20` — the index fields are `u32`).
+    ///
+    /// # Panics
+    ///
+    /// As [`TraceStore::from_trace`].
     pub fn from_trace_with(trace: &Trace, provenance: &str, chunk_records: u32) -> TraceStore {
+        Self::try_from_trace(trace, provenance, chunk_records)
+            .expect("source trace's records decode and sum to its header")
+    }
+
+    /// [`TraceStore::from_trace_with`], returning a typed error where
+    /// that panics.
+    pub(crate) fn try_from_trace(
+        trace: &Trace,
+        provenance: &str,
+        chunk_records: u32,
+    ) -> Result<TraceStore, TraceError> {
         let chunk_records = chunk_records.clamp(1, 1 << 20);
-        let mut index = Vec::new();
-        let mut offsets = Vec::new();
-        let mut data = Vec::new();
+        let mut store = TraceStore {
+            header: trace.header().clone(),
+            provenance: provenance.to_string(),
+            chunk_records,
+            index: Vec::new(),
+            offsets: Vec::new(),
+            data: Vec::new(),
+        };
         let mut raw = Vec::new();
         let mut prev_next = Addr::NULL;
         let mut records = 0u32;
         let mut instrs = 0u32;
-        let mut flush = |raw: &mut Vec<u8>, records: &mut u32, instrs: &mut u32| {
-            if *records == 0 {
-                return;
-            }
-            let packed = crate::compress::compress(raw);
-            let compressed = packed.len() < raw.len();
-            let stored = if compressed { &packed } else { &*raw };
-            offsets.push(data.len());
-            index.push(ChunkEntry {
-                raw_len: raw.len() as u32,
-                stored_len: stored.len() as u32,
-                records: *records,
-                instrs: *instrs,
-                compressed,
-            });
-            data.extend_from_slice(stored);
-            raw.clear();
-            *records = 0;
-            *instrs = 0;
-        };
         for rb in trace.reader() {
-            let rb = rb.expect("source trace passed whole-file checksum validation");
+            let rb = rb?;
             // Chunks delta-encode from a reset decoder state so each
             // decodes standalone — the seekability invariant.
             encode_record(&mut raw, &rb, &mut prev_next);
             records += 1;
             instrs += rb.instr_count() as u32;
             if records == chunk_records {
-                flush(&mut raw, &mut records, &mut instrs);
+                store.push_chunk(&raw, records, instrs);
+                raw.clear();
+                records = 0;
+                instrs = 0;
                 prev_next = Addr::NULL;
             }
         }
-        flush(&mut raw, &mut records, &mut instrs);
-        TraceStore {
-            header: trace.header().clone(),
-            provenance: provenance.to_string(),
-            chunk_records,
-            index,
-            offsets,
-            data,
+        if records > 0 {
+            store.push_chunk(&raw, records, instrs);
         }
+        store.validate()?;
+        Ok(store)
+    }
+
+    /// Appends one chunk of encoded records, compressed when that
+    /// saves bytes.
+    fn push_chunk(&mut self, raw: &[u8], records: u32, instrs: u32) {
+        let packed = crate::compress::compress(raw);
+        let compressed = packed.len() < raw.len();
+        let stored = if compressed { &packed[..] } else { raw };
+        self.offsets.push(self.data.len());
+        self.index.push(ChunkEntry {
+            raw_len: raw.len() as u32,
+            stored_len: stored.len() as u32,
+            records,
+            instrs,
+            compressed,
+        });
+        self.data.extend_from_slice(stored);
+    }
+
+    /// Checks everything a replayer relies on, so that its decodes
+    /// cannot fail later. The index must reproduce the header totals
+    /// exactly (a mismatch means the store lies about its own
+    /// geometry). Then every chunk is decoded once: it must decompress
+    /// to exactly its `raw_len`, hold exactly its `records` records
+    /// with no bytes left over, and sum to its `instrs`. Every record
+    /// must also decode-skip to the same stream position as a full
+    /// decode, since a replayer mixes both.
+    fn validate(&self) -> Result<(), TraceError> {
+        let sum = |field: fn(&ChunkEntry) -> u32| -> u64 {
+            self.index.iter().map(|e| field(e) as u64).sum()
+        };
+        for (what, index_sum, claimed) in [
+            (
+                "stored sizes",
+                sum(|e| e.stored_len),
+                self.data.len() as u64,
+            ),
+            ("records", sum(|e| e.records), self.header.block_count),
+            ("instructions", sum(|e| e.instrs), self.header.instr_count),
+        ] {
+            if index_sum != claimed {
+                return Err(TraceError::Corrupt(format!(
+                    "index {what} sum to {index_sum}, header claims {claimed}"
+                )));
+            }
+        }
+        for (chunk, entry) in self.index.iter().enumerate() {
+            let corrupt = |what: String| TraceError::Corrupt(format!("chunk {chunk}: {what}"));
+            if entry.records == 0 {
+                return Err(corrupt("empty".into()));
+            }
+            let plausible = if entry.compressed {
+                entry.raw_len as u64
+                    <= entry.stored_len as u64 * crate::compress::MAX_EXPANSION as u64
+            } else {
+                entry.raw_len == entry.stored_len
+            };
+            if !plausible {
+                return Err(corrupt(format!(
+                    "{} raw bytes cannot come from {} stored bytes",
+                    entry.raw_len, entry.stored_len
+                )));
+            }
+            let buf = self.chunk_bytes(chunk)?;
+            let (mut pos, mut prev_next) = (0, Addr::NULL);
+            let mut instrs = 0u64;
+            for record in 0..entry.records {
+                let (mut skip_pos, mut skip_prev) = (pos, prev_next);
+                let skipped = codec::skip_record(&buf, &mut skip_pos, &mut skip_prev);
+                let decoded = codec::decode_record(&buf, &mut pos, &mut prev_next)
+                    .map_err(|e| corrupt(format!("record {record}: {}", TraceError::from(e))))?;
+                if skipped != Ok(decoded.instr_count()) || (skip_pos, skip_prev) != (pos, prev_next)
+                {
+                    return Err(corrupt(format!(
+                        "record {record} decodes but does not decode-skip"
+                    )));
+                }
+                instrs += decoded.instr_count();
+            }
+            if pos != buf.len() {
+                return Err(corrupt(format!(
+                    "{} bytes after its last record",
+                    buf.len() - pos
+                )));
+            }
+            if instrs != entry.instrs as u64 {
+                return Err(corrupt(format!(
+                    "records hold {instrs} instructions, index claims {}",
+                    entry.instrs
+                )));
+            }
+        }
+        Ok(())
     }
 
     /// Reconstructs the flat v1 [`Trace`]. Lossless: the result
@@ -172,11 +271,7 @@ impl TraceStore {
     /// from (record encoding is deterministic, and the header fields
     /// are carried through unchanged).
     ///
-    /// # Panics
-    ///
-    /// Panics if a chunk fails to decompress or decode (unreachable
-    /// for a store that passed [`TraceStore::from_bytes`] validation or
-    /// came from [`TraceStore::from_trace`]).
+    /// Never panics: both constructors decode every chunk first.
     pub fn to_trace(&self) -> Trace {
         let mut writer = TraceWriter::new(
             self.header.name.clone(),
@@ -184,19 +279,16 @@ impl TraceStore {
             self.header.fingerprint,
         );
         for chunk in 0..self.index.len() {
-            let buf = self
-                .chunk_bytes(chunk)
-                .expect("store chunks passed whole-file checksum validation");
+            let buf = self.chunk_bytes(chunk).expect(CHUNKS_VALIDATED);
             let mut pos = 0;
             let mut prev_next = Addr::NULL;
             for _ in 0..self.index[chunk].records {
-                let rb = codec::decode_record(&buf, &mut pos, &mut prev_next)
-                    .map_err(TraceError::from)
-                    .expect("store chunks passed whole-file checksum validation");
+                let rb =
+                    codec::decode_record(&buf, &mut pos, &mut prev_next).expect(CHUNKS_VALIDATED);
                 writer.record(&rb);
             }
         }
-        writer.finish_with_fingerprint(self.header.fingerprint)
+        writer.finish()
     }
 
     /// The trace metadata (shared with the v1 header: name, seed,
@@ -320,10 +412,11 @@ impl TraceStore {
     }
 
     /// Parses a serialized store, validating magic, version, every
-    /// length field, the index's internal consistency (chunk sums must
-    /// reproduce the header's block/instruction/payload totals), and
-    /// the whole-file checksum — truncated or bit-flipped files are
-    /// rejected here with a descriptive [`TraceError`], never decoded.
+    /// length field, the whole-file checksum, the index's internal
+    /// consistency (chunk sums must reproduce the header's
+    /// block/instruction/payload totals), and finally every chunk's
+    /// contents (see `validate`) — a damaged file is rejected here
+    /// with a descriptive [`TraceError`], never later mid-replay.
     pub fn from_bytes(bytes: &[u8]) -> Result<TraceStore, TraceError> {
         if bytes.len() < HEADER_FIXED_LEN {
             return Err(if bytes.get(..4).is_some_and(|m| m == MAGIC) {
@@ -435,7 +528,7 @@ impl TraceStore {
         let mut index = Vec::with_capacity(chunk_count);
         let mut offsets = Vec::with_capacity(chunk_count);
         let mut at = pos;
-        let (mut sum_stored, mut sum_records, mut sum_instrs) = (0u64, 0u64, 0u64);
+        let mut sum_stored = 0u64;
         for _ in 0..chunk_count {
             let u32_at = |off: usize| {
                 u32::from_le_bytes(
@@ -457,34 +550,12 @@ impl TraceStore {
                 instrs: u32_at(at + 12),
                 compressed: flags & CHUNK_COMPRESSED != 0,
             };
-            if entry.records == 0 {
-                return Err(TraceError::Corrupt("empty chunk in index".into()));
-            }
             offsets.push(sum_stored as usize);
             sum_stored += entry.stored_len as u64;
-            sum_records += entry.records as u64;
-            sum_instrs += entry.instrs as u64;
             index.push(entry);
             at += INDEX_ENTRY_LEN;
         }
-        // The index must reproduce the header totals exactly — a
-        // mismatch means the file lies about its own geometry.
-        if sum_stored != payload_len {
-            return Err(TraceError::Corrupt(format!(
-                "index stored sizes sum to {sum_stored}, header claims {payload_len}"
-            )));
-        }
-        if sum_records != block_count {
-            return Err(TraceError::Corrupt(format!(
-                "index records sum to {sum_records}, header claims {block_count}"
-            )));
-        }
-        if sum_instrs != instr_count {
-            return Err(TraceError::Corrupt(format!(
-                "index instructions sum to {sum_instrs}, header claims {instr_count}"
-            )));
-        }
-        Ok(TraceStore {
+        let store = TraceStore {
             header: TraceHeader {
                 name,
                 seed,
@@ -497,7 +568,9 @@ impl TraceStore {
             index,
             offsets,
             data: bytes[index_end..total].to_vec(),
-        })
+        };
+        store.validate()?;
+        Ok(store)
     }
 
     /// Writes the serialized store to `path`.
@@ -557,14 +630,10 @@ impl StoreReplayer<'_> {
         let Some(entry) = self.store.index.get(self.next_chunk) else {
             return false;
         };
-        match self.store.chunk_bytes(self.next_chunk) {
-            Ok(buf) => self.buf = buf,
-            // audit-allow(no-unchecked-panic): corrupt chunk mid-replay is unrecoverable — the store passed its whole-file checksum at load, so this is a programming error, and returning None would silently truncate the stream
-            Err(e) => panic!(
-                "store `{}` chunk {} failed to decode: {e}",
-                self.store.header.name, self.next_chunk,
-            ),
-        }
+        self.buf = self
+            .store
+            .chunk_bytes(self.next_chunk)
+            .expect(CHUNKS_VALIDATED);
         self.pos = 0;
         self.prev_next = Addr::NULL;
         self.chunk_remaining = entry.records;
@@ -576,34 +645,20 @@ impl StoreReplayer<'_> {
 
 impl BlockSource for StoreReplayer<'_> {
     /// Returns `None` when the store runs out of records; otherwise
-    /// exactly the recorded stream, chunk by chunk.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a chunk fails to decompress or a record fails to
-    /// decode: the file passed the whole-file checksum at load, so a
-    /// structural failure here is a programming error — silently
-    /// truncating would replay a different stream.
+    /// exactly the recorded stream, chunk by chunk. Never fails to
+    /// decode: every chunk was decoded when the store was built or
+    /// loaded.
     #[inline]
     fn next_block(&mut self) -> Option<RetiredBlock> {
         if self.chunk_remaining == 0 && !self.load_next_chunk() {
             return None;
         }
-        match codec::decode_record(&self.buf, &mut self.pos, &mut self.prev_next) {
-            Ok(rb) => {
-                self.chunk_remaining -= 1;
-                self.replayed += 1;
-                self.records_decoded += 1;
-                Some(rb)
-            }
-            // audit-allow(no-unchecked-panic): corrupt record mid-replay is unrecoverable — see load_next_chunk; the `# Panics` doc above is the contract
-            Err(e) => panic!(
-                "store `{}` failed to decode at block {}: {}",
-                self.store.header.name,
-                self.replayed + 1,
-                TraceError::from(e),
-            ),
-        }
+        let rb = codec::decode_record(&self.buf, &mut self.pos, &mut self.prev_next)
+            .expect(CHUNKS_VALIDATED);
+        self.chunk_remaining -= 1;
+        self.replayed += 1;
+        self.records_decoded += 1;
+        Some(rb)
     }
 
     /// Seekable fast-forward over the index: whole chunks whose
@@ -611,32 +666,17 @@ impl BlockSource for StoreReplayer<'_> {
     /// decompression; only the chunk the seek lands in is decoded (by
     /// decode-skip, address chain only). This is what makes sampled
     /// simulation over an on-disk store cheap.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a structural decode failure, like
-    /// [`Self::next_block`].
     #[inline]
     fn skip_instrs(&mut self, min_instrs: u64) -> u64 {
         let mut skipped = 0u64;
         loop {
             // Drain whatever is already decoded.
             while skipped < min_instrs && self.chunk_remaining > 0 {
-                match codec::skip_record(&self.buf, &mut self.pos, &mut self.prev_next) {
-                    Ok(instrs) => {
-                        self.chunk_remaining -= 1;
-                        self.replayed += 1;
-                        self.records_decoded += 1;
-                        skipped += instrs;
-                    }
-                    // audit-allow(no-unchecked-panic): corrupt record mid-skip is unrecoverable — see next_block; the `# Panics` doc above is the contract
-                    Err(e) => panic!(
-                        "store `{}` failed to decode at block {}: {}",
-                        self.store.header.name,
-                        self.replayed + 1,
-                        TraceError::from(e),
-                    ),
-                }
+                skipped += codec::skip_record(&self.buf, &mut self.pos, &mut self.prev_next)
+                    .expect(CHUNKS_VALIDATED);
+                self.chunk_remaining -= 1;
+                self.replayed += 1;
+                self.records_decoded += 1;
             }
             if skipped >= min_instrs {
                 return skipped;
@@ -806,6 +846,57 @@ mod tests {
                 "flip at {at} must be rejected",
             );
         }
+    }
+
+    #[test]
+    fn resealed_undecodable_chunks_are_rejected_at_load() {
+        let (_, trace) = small_trace();
+        let store = TraceStore::from_trace_with(&trace, "reseal test", 512);
+        let bytes = store.to_bytes();
+        let entries: Vec<ChunkEntry> = (0..store.chunk_count())
+            .map(|c| store.chunk_entry(c).expect("in range"))
+            .collect();
+        let index_at = bytes.len() - store.stored_len() - entries.len() * INDEX_ENTRY_LEN;
+
+        // Garbage in the last chunk's bytes, checksum recomputed.
+        let mut garbage = bytes.clone();
+        let last = entries.last().expect("several chunks").stored_len as usize;
+        let len = garbage.len();
+        garbage[len - last..].fill(0xff);
+        crate::tests::reseal(&mut garbage);
+        assert!(matches!(
+            TraceStore::from_bytes(&garbage),
+            Err(TraceError::Corrupt(_))
+        ));
+
+        // Two chunks trade one instruction in the index: every sum
+        // still matches the header, but neither chunk holds what its
+        // entry claims.
+        let mut traded = bytes.clone();
+        for (chunk, delta) in [(0usize, 1i64), (1, -1)] {
+            let at = index_at + chunk * INDEX_ENTRY_LEN + 12;
+            let instrs = entries[chunk].instrs as i64 + delta;
+            traded[at..at + 4].copy_from_slice(&(instrs as u32).to_le_bytes());
+        }
+        crate::tests::reseal(&mut traded);
+        assert!(matches!(
+            TraceStore::from_bytes(&traded),
+            Err(TraceError::Corrupt(_))
+        ));
+
+        // A raw-stored chunk whose declared raw length disagrees with
+        // its stored length.
+        let raw = TraceStore::from_trace_with(&trace, "", 1);
+        let mut bytes = raw.to_bytes();
+        let index_at =
+            bytes.len() - raw.stored_len() - raw.chunk_count() as usize * INDEX_ENTRY_LEN;
+        assert!(!raw.chunk_entry(0).expect("chunk 0").compressed);
+        bytes[index_at] = bytes[index_at].wrapping_add(1);
+        crate::tests::reseal(&mut bytes);
+        assert!(matches!(
+            TraceStore::from_bytes(&bytes),
+            Err(TraceError::Corrupt(_))
+        ));
     }
 
     proptest! {

@@ -11,7 +11,7 @@ use fe_model::{BlockSource, MachineConfig};
 use fe_sim::{
     run_scheme_replayed, run_scheme_store_replayed, Experiment, RunLength, SamplingSpec, SchemeSpec,
 };
-use fe_trace::{ingest_bytes, IngestOptions, SourceFormat, Trace, TraceStore};
+use fe_trace::{IngestOptions, SourceFormat, Trace, TraceStore};
 
 const SEED: u64 = 0x5407;
 
@@ -153,30 +153,4 @@ fn store_replay_is_bit_identical_and_seek_skips_chunks() {
     }
     assert_eq!(replay.next_block(), None);
     assert_eq!(flat.next_block(), None);
-}
-
-/// The committed CBP text fixture ingests cleanly and the resulting
-/// store replays the capture record for record — the same fixture the
-/// CI ingest smoke converts via the `ingest` binary.
-#[test]
-fn cbp_fixture_ingests_and_replays() {
-    let text = std::fs::read("tests/fixtures/sample_capture.cbp").expect("fixture exists");
-    let opts = IngestOptions {
-        provenance: "tests/fixtures/sample_capture.cbp".into(),
-        ..IngestOptions::default()
-    };
-    let (store, report) = ingest_bytes(&text, "sample_capture", &opts).expect("fixture ingests");
-    assert_eq!(report.format, SourceFormat::CbpText);
-    assert_eq!(report.records, 15, "one record per non-comment line");
-    assert_eq!(report.skipped, 0);
-    assert!(report.verified);
-    assert_eq!(store.header().name, "sample_capture");
-    // Container round-trips through bytes.
-    let back = TraceStore::from_bytes(&store.to_bytes()).expect("round trip");
-    let mut replay = back.replayer();
-    let mut n = 0;
-    while replay.next_block().is_some() {
-        n += 1;
-    }
-    assert_eq!(n, 15);
 }
