@@ -21,7 +21,7 @@
 //! `SHOTGUN_SCALE` / `SHOTGUN_WARMUP` / `SHOTGUN_INSTRS` /
 //! `SHOTGUN_JSON_DIR` knobs.
 
-use fe_bench::{banner, default_len, machine, SEED};
+use fe_bench::{banner, default_len, knobs, machine, SEED};
 use fe_cfg::{workloads, Program};
 use fe_model::stats::geometric_mean;
 use fe_model::{MachineConfig, SimStats};
@@ -73,12 +73,12 @@ fn mpki(stats: &SimStats, misses: u64) -> f64 {
 }
 
 fn main() {
-    let mix_name = std::env::var("SHOTGUN_MIX").unwrap_or_else(|_| "apache+db2".into());
+    let mix_name = knobs::text("SHOTGUN_MIX").unwrap_or_else(|| "apache+db2".into());
     let mix = workloads::mix_by_name(&mix_name).unwrap_or_else(|| {
         eprintln!("unknown mix `{mix_name}` (want e.g. apache+db2); using apache+db2");
         workloads::apache_db2()
     });
-    let scale = fe_bench::env_f64("SHOTGUN_SCALE", 1.0);
+    let scale = knobs::scale();
     let mix = if (scale - 1.0).abs() < 1e-9 {
         mix
     } else {
@@ -90,10 +90,7 @@ fn main() {
     );
 
     let mut machine = machine();
-    if let Some(kib) = std::env::var("SHOTGUN_LLC_KIB")
-        .ok()
-        .and_then(|v| v.parse().ok())
-    {
+    if let Some(kib) = knobs::var("SHOTGUN_LLC_KIB") {
         machine.llc.kib_per_core = kib;
         println!(
             "    LLC override: {} KiB/tile ({} KiB total)\n",
@@ -234,26 +231,20 @@ fn main() {
          and code working sets now interfere — the deltas above quantify it."
     );
 
-    if let Ok(dir) = std::env::var("SHOTGUN_JSON_DIR") {
-        let len = default_len();
-        let doc = Json::Obj(vec![
-            ("mix".into(), Json::Str(mix.name.clone())),
-            ("seed".into(), Json::U64(SEED)),
-            ("warmup".into(), Json::U64(len.warmup)),
-            ("measure".into(), Json::U64(len.measure)),
-            (
-                "schemes".into(),
-                Json::Obj(json_schemes.into_iter().collect()),
-            ),
-            (
-                "consolidated_speedups".into(),
-                Json::Arr(speedups.iter().map(|s| Json::F64(*s)).collect()),
-            ),
-        ]);
-        let path = std::path::Path::new(&dir).join("BENCH_consolidation.json");
-        match std::fs::write(&path, doc.render()) {
-            Ok(()) => eprintln!("wrote {}", path.display()),
-            Err(e) => eprintln!("failed to write {}: {e}", path.display()),
-        }
-    }
+    let len = default_len();
+    let doc = Json::Obj(vec![
+        ("mix".into(), Json::Str(mix.name.clone())),
+        ("seed".into(), Json::U64(SEED)),
+        ("warmup".into(), Json::U64(len.warmup)),
+        ("measure".into(), Json::U64(len.measure)),
+        (
+            "schemes".into(),
+            Json::Obj(json_schemes.into_iter().collect()),
+        ),
+        (
+            "consolidated_speedups".into(),
+            Json::Arr(speedups.iter().map(|s| Json::F64(*s)).collect()),
+        ),
+    ]);
+    knobs::write_bench_json("consolidation", &doc.render());
 }

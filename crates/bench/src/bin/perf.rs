@@ -44,7 +44,7 @@
 
 use std::time::Instant;
 
-use fe_bench::{banner, default_len, env_f64, machine, suite, SEED};
+use fe_bench::{banner, default_len, knobs, machine, suite, SEED};
 use fe_cfg::WorkloadSpec;
 use fe_model::SimStats;
 use fe_sim::json::Json;
@@ -76,8 +76,8 @@ fn schemes() -> Vec<SchemeSpec> {
 const ALL_MODES: [&str; 4] = ["full", "replay", "sampled", "batch-sampled"];
 
 fn enabled_modes() -> Vec<String> {
-    std::env::var("SHOTGUN_PERF_MODES")
-        .unwrap_or_else(|_| ALL_MODES.join(","))
+    knobs::text("SHOTGUN_PERF_MODES")
+        .unwrap_or_else(|| ALL_MODES.join(","))
         .split(',')
         .map(|m| m.trim().to_string())
         .filter(|m| !m.is_empty())
@@ -99,11 +99,8 @@ fn main() {
     );
     let machine = machine();
     let len = default_len();
-    let sampling = SamplingSpec::DEFAULT.from_env();
-    if let Err(e) = sampling.validate() {
-        eprintln!("invalid sampling spec: {e}");
-        std::process::exit(2);
-    }
+    let sampling = knobs::sampling();
+    let min_mips = knobs::var("SHOTGUN_PERF_MIN_MIPS").unwrap_or(0.0);
     let modes = enabled_modes();
     if modes.is_empty() {
         eprintln!("SHOTGUN_PERF_MODES selects no modes — nothing to measure");
@@ -254,7 +251,6 @@ fn main() {
         let first = modes.first().map(String::as_str).unwrap_or("full");
         (first, pool_mode(&cells, first).map(|p| p.mips))
     };
-    let min_mips = env_f64("SHOTGUN_PERF_MIN_MIPS", 0.0);
     if min_mips > 0.0 {
         let Some(gate_mips) = gate_mips else {
             // A floor was requested but nothing was measured (e.g. the
@@ -333,14 +329,11 @@ fn speedup(cells: &[PerfCell], fast: &str, slow: &str) -> Option<f64> {
 /// fields live here and only here — deterministic sweep reports carry
 /// no timing.
 fn write_perf_json(cells: &[PerfCell], len: RunLength, sampling: SamplingSpec, modes: &[String]) {
-    let Ok(dir) = std::env::var("SHOTGUN_JSON_DIR") else {
-        return;
-    };
     let run = Json::Obj(vec![
         ("warmup".into(), Json::U64(len.warmup)),
         ("measure".into(), Json::U64(len.measure)),
         ("seed".into(), Json::U64(SEED)),
-        ("scale".into(), Json::F64(env_f64("SHOTGUN_SCALE", 1.0))),
+        ("scale".into(), Json::F64(knobs::scale())),
         (
             "modes".into(),
             Json::Arr(modes.iter().map(|m| Json::Str(m.clone())).collect()),
@@ -395,12 +388,8 @@ fn write_perf_json(cells: &[PerfCell], len: RunLength, sampling: SamplingSpec, m
         ("cells".into(), cell_json),
         ("summary".into(), summary),
     ]);
-    let path = std::path::Path::new(&dir).join("BENCH_perf.json");
     // Warn-and-continue on write failure, like every other binary's
     // report emission — the CI smoke separately asserts the file
     // exists, so a broken artifact dir still fails the build there.
-    match std::fs::write(&path, doc.render()) {
-        Ok(()) => eprintln!("wrote {}", path.display()),
-        Err(e) => eprintln!("failed to write {}: {e}", path.display()),
-    }
+    knobs::write_bench_json("perf", &doc.render());
 }

@@ -19,7 +19,7 @@
 use std::time::Instant;
 
 use fe_bench::figures::{metric_table, Session};
-use fe_bench::{banner, default_len, env_f64, machine, suite, write_report, WORKLOAD_ORDER};
+use fe_bench::{banner, default_len, knobs, machine, suite, WORKLOAD_ORDER};
 use fe_sim::{SamplingSpec, SchemeSpec, SweepReport};
 use fe_trace::Trace;
 
@@ -41,13 +41,11 @@ fn sweep(sampling: Option<SamplingSpec>, trace_dir: &std::path::Path) -> SweepRe
 }
 
 fn main() {
-    let spec = SamplingSpec::DEFAULT.from_env();
-    // Fail fast on a malformed SHOTGUN_SAMPLING shape — before either
+    // Fail fast on a malformed knob or sampling shape — before either
     // multi-minute sweep runs (and before the banner's arithmetic).
-    if let Err(e) = spec.validate() {
-        eprintln!("invalid sampling spec: {e}");
-        std::process::exit(2);
-    }
+    let spec = knobs::sampling();
+    let min_speedup = knobs::var("SHOTGUN_SAMPLING_MIN_SPEEDUP").unwrap_or(0.0);
+    let check = knobs::var::<u8>("SHOTGUN_SAMPLING_CHECK") == Some(1);
     banner(
         "Sampling",
         "sampled (functional warming) vs full-detail error and speedup",
@@ -67,9 +65,9 @@ fn main() {
     // kept for reuse, as everywhere else); otherwise a per-process
     // temp dir is used and cleaned up. (File name convention matches
     // the Experiment trace cache.)
-    let (trace_dir, ephemeral) = match std::env::var("SHOTGUN_TRACE_DIR") {
-        Ok(dir) => (std::path::PathBuf::from(dir), false),
-        Err(_) => (
+    let (trace_dir, ephemeral) = match knobs::trace_dir() {
+        Some(dir) => (dir, false),
+        None => (
             std::env::temp_dir().join(format!("shotgun-sampling-{}", std::process::id())),
             true,
         ),
@@ -189,12 +187,11 @@ fn main() {
         sampled_wall.as_secs_f64(),
         spec.timed_fraction() * 100.0,
     );
-    let min_speedup = env_f64("SHOTGUN_SAMPLING_MIN_SPEEDUP", 0.0);
     if min_speedup > 0.0 && speedup < min_speedup {
         violations.push(format!("speedup {speedup:.2}x below floor {min_speedup}x"));
     }
 
-    write_report(&sampled, "sampling");
+    knobs::write_bench_json("sampling", &sampled.to_json());
     println!(
         "\nnote: sampled MPKI/IPC track full detail within the documented bounds \
          (fe-stall PKI within max(10%, 0.5), IPC within 5%) at a fraction \
@@ -206,7 +203,7 @@ fn main() {
         for v in &violations {
             eprintln!("  {v}");
         }
-        if std::env::var("SHOTGUN_SAMPLING_CHECK").is_ok_and(|v| v == "1") {
+        if check {
             std::process::exit(1);
         }
     }

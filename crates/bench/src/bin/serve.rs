@@ -30,11 +30,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use fe_bench::{
-    banner, default_len, env_f64, suite, threads, write_serve_json, MemoCounts, ServeRun, SEED,
-};
+use fe_bench::{banner, default_len, knobs, suite, write_serve_json, MemoCounts, ServeRun, SEED};
 use fe_serve::{submit_job, ClientOutcome, ExperimentService, JobSpec, JobWorkload, Server};
-use fe_sim::{SamplingSpec, SchemeSpec};
+use fe_sim::SchemeSpec;
 
 fn main() {
     banner(
@@ -42,16 +40,8 @@ fn main() {
         "experiment service: cold submission, then 100% cache-hit resubmission",
     );
     let len = default_len();
-    let sampling = std::env::var("SHOTGUN_SAMPLING")
-        .is_ok()
-        .then(|| SamplingSpec::DEFAULT.from_env());
-    if let Some(s) = sampling {
-        if let Err(e) = s.validate() {
-            eprintln!("invalid sampling spec: {e}");
-            std::process::exit(2);
-        }
-    }
-    let scale = env_f64("SHOTGUN_SCALE", 1.0);
+    let sampling = knobs::sampling_if_set();
+    let scale = knobs::scale();
     let spec = JobSpec {
         workloads: suite()
             .iter()
@@ -68,7 +58,7 @@ fn main() {
         len,
         seed: SEED,
         sampling,
-        threads: threads(),
+        threads: knobs::threads(),
     };
     let total = spec.cell_count();
 

@@ -19,7 +19,7 @@ use fe_sim::{Experiment, FingerprintMemo, MemoryCellStore, RunLength, SchemeSpec
 use shotgun::{RegionPolicy, ShotgunConfig};
 
 use crate::report::{coverage_series, metric_series, render_table, speedup_series};
-use crate::{banner, default_len, env_f64, machine, suite_at, threads, write_report};
+use crate::{banner, default_len, knobs, machine, suite_at};
 use crate::{SEED, WORKLOAD_ORDER};
 
 /// Every suite member, in the paper's order.
@@ -390,12 +390,12 @@ pub struct Session {
 
 impl Session {
     /// A session over the suite scaled by `scale`, running `len` per
-    /// cell on [`threads`] workers, with no trace directory.
+    /// cell on `SHOTGUN_THREADS` workers, with no trace directory.
     fn new(scale: f64, len: RunLength) -> Session {
         Session {
             suite: suite_at(scale),
             len,
-            threads: threads(),
+            threads: knobs::threads(),
             trace_dir: None,
             cells: Arc::new(MemoryCellStore::new()),
             fingerprints: Arc::new(FingerprintMemo::new()),
@@ -406,8 +406,8 @@ impl Session {
     /// `SHOTGUN_INSTRS`, `SHOTGUN_THREADS` and `SHOTGUN_TRACE_DIR`.
     pub fn from_env() -> Session {
         Session {
-            trace_dir: std::env::var_os("SHOTGUN_TRACE_DIR").map(PathBuf::from),
-            ..Session::new(env_f64("SHOTGUN_SCALE", 1.0), default_len())
+            trace_dir: knobs::trace_dir(),
+            ..Session::new(knobs::scale(), default_len())
         }
     }
 
@@ -468,7 +468,7 @@ impl Session {
             Body::Sweep { schemes, render } => {
                 let report = self.sweep(&workloads, schemes());
                 render.print(&report);
-                write_report(&report, figure.name);
+                knobs::write_bench_json(figure.name, &report.to_json());
             }
         }
         if let Some(shape) = figure.paper_shape {

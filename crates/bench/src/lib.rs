@@ -9,12 +9,14 @@
 //! the Table 3 machine, the Table 2 workload suite, the evaluation
 //! seed and the run-length knobs.
 //!
-//! `figures` and the tools accept the environment knobs:
+//! `figures` and the tools accept the environment knobs, all read and
+//! parsed in [`knobs`] (a set but malformed value exits 2, naming the
+//! variable):
 //!
 //! * `SHOTGUN_INSTRS` — measured instructions per (workload, scheme)
-//!   cell (default typically 8M); the offline analytics of Figs. 3
-//!   and 4 walk the same count;
-//! * `SHOTGUN_WARMUP` — warmup instructions (default 2-3M);
+//!   cell (default 8M); the offline analytics of Figs. 3 and 4 walk
+//!   the same count;
+//! * `SHOTGUN_WARMUP` — warmup instructions (default 2M);
 //! * `SHOTGUN_SCALE` — workload scale factor (default 1.0; use e.g.
 //!   0.25 for quick shape checks);
 //! * `SHOTGUN_THREADS` — sweep worker threads (default: all cores);
@@ -24,16 +26,17 @@
 //!   recorded control-flow trace there and reuse compatible recordings,
 //!   skipping the executor walk on repeated runs;
 //! * `SHOTGUN_SAMPLING` / `SHOTGUN_SAMPLING_*` — shape of sampled
-//!   simulation where a binary supports it (currently `sampling`; see
-//!   `fe_sim::SamplingSpec::from_env`).
+//!   simulation in `sampling`, `perf` and `serve` (see
+//!   [`knobs::sampling`]).
 
 pub mod figures;
+pub mod knobs;
 mod report;
 
 use fe_cfg::{workloads, WorkloadSpec};
 use fe_model::MachineConfig;
 use fe_sim::json::Json;
-use fe_sim::{RunLength, SamplingSpec, SweepReport};
+use fe_sim::{RunLength, SamplingSpec};
 
 /// Workload presentation order used by every figure (the paper's
 /// left-to-right order).
@@ -45,26 +48,18 @@ pub const WORKLOAD_ORDER: [&str; 6] = ["nutch", "streaming", "apache", "zeus", "
 /// other streams than the sweeps measure.
 pub const SEED: u64 = 0x5407;
 
-/// Default per-cell run length of `figures` and the tools.
+/// Default per-cell run length of `figures` and the tools, under the
+/// `SHOTGUN_WARMUP` / `SHOTGUN_INSTRS` knobs.
 pub fn default_len() -> RunLength {
-    RunLength {
+    knobs::run_length(RunLength {
         warmup: 2_000_000,
         measure: 8_000_000,
-    }
-    .from_env()
-}
-
-/// Floating-point environment knob (`SHOTGUN_SCALE` and friends).
-pub fn env_f64(name: &str, default: f64) -> f64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    })
 }
 
 /// The six Table 2 workloads, scaled by `SHOTGUN_SCALE` if set.
 pub fn suite() -> Vec<WorkloadSpec> {
-    suite_at(env_f64("SHOTGUN_SCALE", 1.0))
+    suite_at(knobs::scale())
 }
 
 /// The six Table 2 workloads, scaled by `scale`.
@@ -84,32 +79,6 @@ pub(crate) fn suite_at(scale: f64) -> Vec<WorkloadSpec> {
 /// The Table 3 machine.
 pub fn machine() -> MachineConfig {
     MachineConfig::table3()
-}
-
-/// Sweep worker threads: `SHOTGUN_THREADS` or all available cores.
-pub fn threads() -> usize {
-    std::env::var("SHOTGUN_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
-}
-
-/// Writes `report` as `BENCH_<figure>.json` under `SHOTGUN_JSON_DIR`,
-/// when that variable is set — the machine-readable perf trajectory
-/// companion to each binary's printed tables.
-pub fn write_report(report: &SweepReport, figure: &str) {
-    let Ok(dir) = std::env::var("SHOTGUN_JSON_DIR") else {
-        return;
-    };
-    let path = std::path::Path::new(&dir).join(format!("BENCH_{figure}.json"));
-    match report.write_json(&path) {
-        Ok(()) => eprintln!("wrote {}", path.display()),
-        Err(e) => eprintln!("failed to write {}: {e}", path.display()),
-    }
 }
 
 /// One cold + warm submission pair through the experiment service —
@@ -168,9 +137,6 @@ impl MemoCounts {
 /// fingerprint-memo counts. Like `BENCH_perf.json`, all wall-clock
 /// fields live here and only here.
 pub fn write_serve_json(run: &ServeRun) {
-    let Ok(dir) = std::env::var("SHOTGUN_JSON_DIR") else {
-        return;
-    };
     let submission = |wall_ms: f64, hit_rate: f64, memo: &MemoCounts| {
         Json::Obj(vec![
             ("wall_ms".into(), Json::F64(wall_ms)),
@@ -214,11 +180,7 @@ pub fn write_serve_json(run: &ServeRun) {
             ]),
         ),
     ]);
-    let path = std::path::Path::new(&dir).join("BENCH_serve.json");
-    match std::fs::write(&path, doc.render()) {
-        Ok(()) => eprintln!("wrote {}", path.display()),
-        Err(e) => eprintln!("failed to write {}: {e}", path.display()),
-    }
+    knobs::write_bench_json("serve", &doc.render());
 }
 
 /// Prints the standard experiment header.
@@ -229,6 +191,6 @@ pub fn banner(experiment: &str, what: &str) {
         "    machine: Table 3 | warmup {}M, measure {}M instructions per cell | {} threads\n",
         len.warmup / 1_000_000,
         len.measure / 1_000_000,
-        threads(),
+        knobs::threads(),
     );
 }

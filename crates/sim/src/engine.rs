@@ -13,7 +13,7 @@
 //! bit-exact acceleration that is always on.
 //! [`MultiSimulator`](crate::MultiSimulator) keeps its own per-cycle
 //! lockstep loop (its contexts share memory every cycle) and ticks
-//! through [`Simulator::tick_once`].
+//! each context one cycle at a time.
 
 use fe_cfg::{Executor, Program};
 use fe_model::{MachineConfig, SimStats};
@@ -43,46 +43,25 @@ pub struct Simulator<'p> {
 }
 
 impl<'p> Simulator<'p> {
-    /// Builds a simulator over `program` with the given scheme and a
-    /// private memory system.
+    /// Builds a simulator over a live walk of `program` with the given
+    /// scheme and a private memory system.
     ///
     /// # Panics
     ///
     /// Panics if `cfg` fails validation.
     pub fn new(program: &'p Program, cfg: MachineConfig, scheme: EngineScheme, seed: u64) -> Self {
         let mem = MemorySystem::new(&cfg);
-        Self::with_memory(program, cfg, scheme, seed, mem)
-    }
-
-    /// Builds a simulator whose memory path is supplied by the caller —
-    /// the hook multi-context simulation uses to hand several pipelines
-    /// handles onto one shared LLC/NoC
-    /// ([`MemorySystem::shared_group`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg` fails validation.
-    pub fn with_memory(
-        program: &'p Program,
-        cfg: MachineConfig,
-        scheme: EngineScheme,
-        seed: u64,
-        mem: MemorySystem,
-    ) -> Self {
-        Self::with_source(
-            program,
-            cfg,
-            scheme,
-            seed,
-            mem,
-            Executor::new(program, seed),
-        )
+        let walk = Executor::new(program, seed);
+        Self::with_source(program, cfg, scheme, seed, mem, walk)
     }
 
     /// Builds a simulator whose retired stream comes from any
-    /// [`SourceKind`] — the record/replay seam. A live run passes the
-    /// `fe-cfg` executor (what [`Self::with_memory`] does for you); a
-    /// trace-driven run passes an `fe-trace` replayer over a stream
+    /// [`SourceKind`] and whose memory path is supplied by the caller —
+    /// the record/replay seam, and the hook multi-context simulation
+    /// uses to hand several pipelines handles onto one shared LLC/NoC
+    /// ([`MemorySystem::shared_group`]). A live run passes the `fe-cfg`
+    /// executor (what [`Self::new`] does for you); a trace-driven run
+    /// passes an `fe-trace` replayer over a stream
     /// previously recorded with the same `program` and `seed`, and
     /// produces bit-identical statistics to the live run.
     ///
@@ -346,79 +325,6 @@ impl<'p> Simulator<'p> {
     pub fn source_exhausted(&self) -> bool {
         self.state.source_dry
     }
-
-    // ---- testing & diagnostics surface -------------------------------
-    //
-    // Everything below is `#[doc(hidden)]`: a stable-enough probe
-    // surface for this workspace's tests and debugging sessions, not
-    // part of the simulator's public API (which is `new`/`with_memory`/
-    // `run`/`mem_stats`).
-
-    /// Current FTQ occupancy (tests).
-    #[doc(hidden)]
-    pub fn ftq_len(&self) -> usize {
-        self.state.ftq.len()
-    }
-
-    /// Instructions buffered between fetch and retire (tests).
-    #[doc(hidden)]
-    pub fn supply_instrs(&self) -> u64 {
-        self.state.supply.instrs()
-    }
-
-    /// Current simulated cycle (tests).
-    #[doc(hidden)]
-    pub fn now(&self) -> u64 {
-        self.state.now
-    }
-
-    /// Instructions retired since construction (tests).
-    #[doc(hidden)]
-    pub fn retired(&self) -> u64 {
-        self.state.retired_total
-    }
-
-    /// Advances exactly one cycle (diagnostics and tests).
-    #[doc(hidden)]
-    pub fn tick_once(&mut self) {
-        self.cycle();
-    }
-
-    /// The scheme's self-reported diagnostic counters.
-    #[doc(hidden)]
-    pub fn scheme_counters(&self) -> Vec<(&'static str, u64)> {
-        match &self.state.scheme {
-            EngineScheme::Real(sch) => sch.debug_counters(),
-            _ => Vec::new(),
-        }
-    }
-
-    /// Prints internal pipeline state (diagnostics).
-    #[doc(hidden)]
-    pub fn dump_state(&self) {
-        let s = &self.state;
-        eprintln!(
-            "cycle={} spec_pc={} ftq={} supply_ranges={} supply_instrs={} waiting={:?} \
-             redirect_until={} bpu_stalled={} inflight={} oracle_len={} consumed={} \
-             expected={:?} supply_front={:?} data_misses={}",
-            s.now,
-            s.spec_pc,
-            s.ftq.len(),
-            s.supply.len(),
-            s.supply.instrs(),
-            s.waiting_line,
-            s.redirect_until,
-            s.bpu_stalled,
-            s.inflight.len(),
-            s.oracle.len(),
-            s.consumed,
-            s.oracle
-                .front()
-                .map(|b| b.block.start + s.consumed * fe_model::INSTR_BYTES),
-            s.supply.front().map(|r| (r.start, r.end)),
-            self.backend.data_miss_count(),
-        );
-    }
 }
 
 #[cfg(test)]
@@ -486,12 +392,15 @@ mod tests {
         let p = program();
         let machine = MachineConfig::table3();
         let mut s = sim(&p, boomerang(&machine));
-        let before = s.now();
+        let before = s.state.now;
         for _ in 0..1000 {
-            s.tick_once();
+            s.cycle();
         }
-        assert_eq!(s.now(), before + 1000);
-        assert!(s.retired() > 0, "pipeline must retire within 1000 cycles");
+        assert_eq!(s.state.now, before + 1000);
+        assert!(
+            s.state.retired_total > 0,
+            "pipeline must retire within 1000 cycles"
+        );
     }
 
     #[test]
@@ -500,9 +409,9 @@ mod tests {
         let machine = MachineConfig::table3();
         let mut s = sim(&p, boomerang(&machine));
         for _ in 0..20_000 {
-            s.tick_once();
-            assert!(s.ftq_len() <= machine.front_end.ftq_entries as usize);
-            assert!(s.supply_instrs() <= SUPPLY_CAP + fe_model::LINE_INSTRS);
+            s.cycle();
+            assert!(s.state.ftq.len() <= machine.front_end.ftq_entries as usize);
+            assert!(s.state.supply.instrs() <= SUPPLY_CAP + fe_model::LINE_INSTRS);
         }
     }
 
@@ -558,7 +467,10 @@ mod tests {
         let machine = MachineConfig::table3();
         let mut s = sim(&p, boomerang(&machine));
         let _ = s.run(20_000, 50_000);
-        let counters = s.scheme_counters();
+        let EngineScheme::Real(scheme) = &s.state.scheme else {
+            panic!("boomerang is a real scheme");
+        };
+        let counters = scheme.debug_counters();
         assert!(counters.iter().any(|(name, _)| *name == "reactive_fills"));
     }
 

@@ -198,12 +198,6 @@ impl Experiment {
         self
     }
 
-    /// Appends several consolidation mixes.
-    pub fn mixes(mut self, mixes: impl IntoIterator<Item = MixSpec>) -> Self {
-        self.mixes.extend(mixes);
-        self
-    }
-
     /// Appends schemes to the sweep.
     pub fn schemes(mut self, specs: impl IntoIterator<Item = SchemeSpec>) -> Self {
         self.schemes.extend(specs);

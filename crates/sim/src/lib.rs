@@ -15,10 +15,15 @@
 //! `fe-trace` recording) and replayed into every scheme cell, bit-
 //! identical to live execution. For paper-scale instruction counts,
 //! [`Experiment::sampling`] switches cells to interval sampling with
-//! functional warming (see the [`sampling`] module). The one-cell
-//! [`run_scheme`] (live), [`run_scheme_replayed`] (trace-driven) and
-//! [`run_scheme_sampled`]/[`run_scheme_sampled_replayed`] wrappers
-//! remain for single measurements.
+//! functional warming (see the [`sampling`] module).
+//!
+//! Single measurements use the one-cell [`run_scheme`] (live),
+//! [`run_scheme_replayed`] and [`run_scheme_sampled_replayed`]
+//! (trace-driven) wrappers, or a [`Simulator`] built directly —
+//! [`Simulator::new`] over a live walk, [`Simulator::with_source`] over
+//! any [`SourceKind`] — and driven by [`Simulator::run`] or
+//! [`Simulator::run_sampled`]. [`MultiSimulator`] runs consolidated
+//! contexts over one shared memory system.
 //!
 //! Every run takes the same path: one [`Simulator`] per cell, reading
 //! its own source, with quiet-span skipping always on. A run is
@@ -26,8 +31,9 @@
 //! [`engine`] module), [`Simulator::run_sampled`] for interval
 //! sampling. A sweep workload's uncached cells run one after another
 //! over the recorded trace: each full-detail cell as a one-cell run,
-//! and a sampled group with one shared initial warm (see the [`batch`]
-//! module).
+//! and a sampled group with one shared initial warm
+//! ([`run_schemes_batch_sampled_replayed`] is that group run on its
+//! own).
 //!
 //! [`Experiment::cell_store`] serves repeated cells from a
 //! content-addressed [`CellStore`] (see the [`cache`] module). With a
@@ -50,17 +56,17 @@
 //! println!("speedup {:.2}", cell.metrics.speedup.unwrap());
 //! ```
 
-pub mod batch;
+mod batch;
 pub mod cache;
 pub mod engine;
 pub mod experiment;
 pub mod json;
 pub mod multi;
 mod pipeline;
-pub mod runner;
+mod runner;
 pub mod sampling;
 pub mod snapshot;
-pub mod source;
+mod source;
 
 pub use batch::{
     run_schemes_batch_replayed, run_schemes_batch_sampled_replayed, SharedCursor, SharedWindow,
@@ -76,9 +82,8 @@ pub use experiment::{
 pub use fe_trace::ProgramFingerprint;
 pub use multi::{derive_ctx_seed, ContextStats, MultiSimulator, MultiStats};
 pub use runner::{
-    run_scheme, run_scheme_replayed, run_scheme_sampled, run_scheme_sampled_replayed,
-    run_scheme_store_replayed, RunLength, SchemeSpec,
+    run_scheme, run_scheme_replayed, run_scheme_sampled_replayed, RunLength, SchemeSpec,
 };
 pub use sampling::{CellSampling, MeanCi, SampledStats, SamplingSpec};
-pub use snapshot::{SnapshotKey, SnapshotStore, WarmSnapshot};
+pub use snapshot::SnapshotStore;
 pub use source::SourceKind;

@@ -29,7 +29,7 @@
 //! println!("ctx0 IPC {:.2}", stats.contexts[0].stats.ipc());
 //! ```
 
-use fe_cfg::Program;
+use fe_cfg::{Executor, Program};
 use fe_model::{MachineConfig, SimStats};
 use fe_uarch::{MemStats, MemorySystem};
 
@@ -64,33 +64,6 @@ pub struct MultiStats {
     pub contexts: Vec<ContextStats>,
 }
 
-impl MultiStats {
-    /// Element-wise sum over contexts. Only *additive* counters
-    /// (instructions, misses, stall cycles, traffic) are meaningful on
-    /// the sum: contexts run simultaneously, so summed `cycles` is
-    /// total context-cycles, not wall-clock, and `aggregate().ipc()`
-    /// is the per-context average — use [`Self::chip_ipc`] for chip
-    /// throughput.
-    pub fn aggregate(&self) -> SimStats {
-        let mut total = SimStats::default();
-        for ctx in &self.contexts {
-            total.merge(&ctx.stats);
-        }
-        total
-    }
-
-    /// Chip-level throughput: total instructions retired per
-    /// wall-clock cycle (the longest context's measured window).
-    pub fn chip_ipc(&self) -> f64 {
-        let instructions: u64 = self.contexts.iter().map(|c| c.stats.instructions).sum();
-        let wall = self.contexts.iter().map(|c| c.stats.cycles).max();
-        match wall {
-            Some(cycles) if cycles > 0 => instructions as f64 / cycles as f64,
-            _ => 0.0,
-        }
-    }
-}
-
 /// N pipelines over one shared memory system, interleaved round-robin.
 pub struct MultiSimulator<'p> {
     sims: Vec<Simulator<'p>>,
@@ -116,21 +89,12 @@ impl<'p> MultiSimulator<'p> {
             .zip(mems)
             .enumerate()
             .map(|(i, ((program, scheme), mem))| {
-                Simulator::with_memory(
-                    program,
-                    machine.clone(),
-                    scheme,
-                    derive_ctx_seed(base_seed, i as u32),
-                    mem,
-                )
+                let seed = derive_ctx_seed(base_seed, i as u32);
+                let walk = Executor::new(program, seed);
+                Simulator::with_source(program, machine.clone(), scheme, seed, mem, walk)
             })
             .collect();
         MultiSimulator { sims }
-    }
-
-    /// Number of contexts.
-    pub fn contexts(&self) -> usize {
-        self.sims.len()
     }
 
     /// Runs every context for `warmup` instructions (untimed), then
@@ -142,9 +106,9 @@ impl<'p> MultiSimulator<'p> {
     /// its interference pressure persists) with its statistics frozen
     /// at the target.
     pub fn run(&mut self, warmup: u64, measure: u64) -> MultiStats {
-        while self.sims.iter().any(|sim| sim.retired() < warmup) {
+        while self.sims.iter().any(|sim| sim.state.retired_total < warmup) {
             for sim in &mut self.sims {
-                sim.tick_once();
+                sim.cycle();
             }
         }
         for sim in &mut self.sims {
@@ -153,13 +117,13 @@ impl<'p> MultiSimulator<'p> {
         let targets: Vec<u64> = self
             .sims
             .iter()
-            .map(|sim| sim.retired() + measure)
+            .map(|sim| sim.state.retired_total + measure)
             .collect();
         let mut done: Vec<Option<ContextStats>> = vec![None; self.sims.len()];
         while done.iter().any(Option::is_none) {
             for (i, sim) in self.sims.iter_mut().enumerate() {
-                sim.tick_once();
-                if done[i].is_none() && sim.retired() >= targets[i] {
+                sim.cycle();
+                if done[i].is_none() && sim.state.retired_total >= targets[i] {
                     done[i] = Some(ContextStats {
                         stats: sim.finalize(),
                         mem: sim.mem_stats(),
@@ -267,27 +231,5 @@ mod tests {
             shared_llc_misses > solo_llc_misses,
             "shared-LLC contention must add misses ({shared_llc_misses} vs {solo_llc_misses} solo)"
         );
-    }
-
-    #[test]
-    fn aggregate_sums_contexts_and_chip_ipc_uses_wall_clock() {
-        let stats = MultiStats {
-            contexts: (1..=2)
-                .map(|i| ContextStats {
-                    stats: SimStats {
-                        cycles: 100 * i,
-                        instructions: 50 * i,
-                        ..Default::default()
-                    },
-                    mem: MemStats::default(),
-                })
-                .collect(),
-        };
-        let total = stats.aggregate();
-        assert_eq!(total.cycles, 300);
-        assert_eq!(total.instructions, 150);
-        // Chip throughput divides by the longest window (200 cycles),
-        // not the context-cycle sum.
-        assert!((stats.chip_ipc() - 150.0 / 200.0).abs() < 1e-12);
     }
 }

@@ -242,11 +242,6 @@ impl Backend {
         fe_model::rng::splitmix64_unit(&mut self.lcg)
     }
 
-    /// Outstanding data-miss count (diagnostics).
-    pub(crate) fn data_miss_count(&self) -> usize {
-        self.data_misses.len()
-    }
-
     /// When the front data miss blocks retirement *past* `now` — it is
     /// older than the ROB shadow and its fill lies in the future —
     /// returns the fill cycle. This is the span-skip precondition: with

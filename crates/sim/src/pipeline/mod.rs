@@ -85,7 +85,7 @@ pub enum EngineScheme {
 impl EngineScheme {
     /// Wraps any scheme the engine knows statically into the `Real`
     /// variant.
-    pub fn real(scheme: impl Into<SchemeKind>) -> EngineScheme {
+    pub(crate) fn real(scheme: impl Into<SchemeKind>) -> EngineScheme {
         EngineScheme::Real(scheme.into())
     }
 }

@@ -75,11 +75,6 @@ impl SupplyBuffer {
         self.ranges.is_empty()
     }
 
-    /// Buffered range count (diagnostics).
-    pub(crate) fn len(&self) -> usize {
-        self.ranges.len()
-    }
-
     /// Discards everything (pipeline squash).
     pub(crate) fn clear(&mut self) {
         self.ranges.clear();
@@ -100,10 +95,10 @@ mod tests {
         let mut s = SupplyBuffer::new();
         s.deliver(a(0), a(16));
         s.deliver(a(16), a(32));
-        assert_eq!(s.len(), 1, "contiguous deliveries merge");
+        assert_eq!(s.ranges.len(), 1, "contiguous deliveries merge");
         assert_eq!(s.instrs(), 32 / INSTR_BYTES);
         s.deliver(a(64), a(80));
-        assert_eq!(s.len(), 2, "gap starts a new range");
+        assert_eq!(s.ranges.len(), 2, "gap starts a new range");
     }
 
     #[test]

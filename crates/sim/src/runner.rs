@@ -5,7 +5,7 @@
 
 use fe_cfg::{Executor, Program};
 use fe_model::{MachineConfig, SimStats};
-use fe_trace::{Trace, TraceStore};
+use fe_trace::Trace;
 use shotgun::{RegionPolicy, ShotgunConfig, ShotgunPrefetcher};
 
 use fe_baselines::{Boomerang, Confluence, ConfluenceConfig, Fdip, NoPrefetch};
@@ -142,15 +142,6 @@ impl RunLength {
         measure: 500_000,
     };
 
-    /// Long run for sampled simulation: 5M warmup + 60M measured —
-    /// enough intervals for a stable confidence interval at the default
-    /// [`SamplingSpec`] without trace sizes
-    /// getting out of hand.
-    pub const LONG: RunLength = RunLength {
-        warmup: 5_000_000,
-        measure: 60_000_000,
-    };
-
     /// Paper-scale run: 10M warmup + 200M measured instructions per
     /// cell (§5.1's order of magnitude) — practical only under
     /// [`Experiment::sampling`](crate::Experiment::sampling).
@@ -158,18 +149,6 @@ impl RunLength {
         warmup: 10_000_000,
         measure: 200_000_000,
     };
-
-    /// Reads `SHOTGUN_WARMUP` / `SHOTGUN_INSTRS` from the environment,
-    /// falling back to `self` — the `fe-bench` binaries' precision knob.
-    pub fn from_env(self) -> RunLength {
-        let parse =
-            // audit-allow(no-env-in-engine): fe-bench precision knobs — read once at startup by the binaries that opt in via from_env, never during measurement, defaults everywhere else
-            |name: &str| -> Option<u64> { std::env::var(name).ok()?.replace('_', "").parse().ok() };
-        RunLength {
-            warmup: parse("SHOTGUN_WARMUP").unwrap_or(self.warmup),
-            measure: parse("SHOTGUN_INSTRS").unwrap_or(self.measure),
-        }
-    }
 
     /// Instructions a recorded trace must hold to replay a run of this
     /// length on `machine`: warmup + measure, plus the pipeline's
@@ -285,30 +264,6 @@ pub fn run_scheme_replayed(
     )
 }
 
-/// [`run_scheme_replayed`], but replaying from a chunk-compressed v2
-/// [`TraceStore`] instead of a flat trace. Statistics are bit-identical
-/// to both [`run_scheme`] and [`run_scheme_replayed`] over the same
-/// recording — the store reproduces the identical retired stream.
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`run_scheme_replayed`]
-/// (mismatched `(program, seed)`, or the store running dry mid-run).
-pub fn run_scheme_store_replayed(
-    program: &Program,
-    store: &TraceStore,
-    spec: &SchemeSpec,
-    machine: &MachineConfig,
-    len: RunLength,
-    seed: u64,
-) -> SimStats {
-    assert_store_matches(store, program, seed);
-    run_full(
-        simulator(program, store.replayer(), spec, machine, seed),
-        len,
-    )
-}
-
 pub(crate) fn assert_trace_matches(trace: &Trace, program: &Program, seed: u64) {
     assert_eq!(
         trace.header().seed,
@@ -323,54 +278,17 @@ pub(crate) fn assert_trace_matches(trace: &Trace, program: &Program, seed: u64) 
     );
 }
 
-pub(crate) fn assert_store_matches(store: &TraceStore, program: &Program, seed: u64) {
-    assert_eq!(
-        store.header().seed,
-        seed,
-        "trace store `{}` was recorded with a different seed",
-        store.header().name,
-    );
-    assert!(
-        store.matches(program),
-        "trace store `{}` was recorded against a different program",
-        store.header().name,
-    );
-}
-
 /// Runs one scheme over one program in sampled mode (see
-/// [`SamplingSpec`] and the `sampling` module docs): `len.warmup`
-/// instructions functionally warmed, `len.measure` covered by
-/// alternating fast-forward / functional warming / timed measurement.
-///
-/// # Panics
-///
-/// Panics if `sampling` fails [`SamplingSpec::validate`] or
-/// `len.measure` cannot fit one detail window.
-pub fn run_scheme_sampled(
-    program: &Program,
-    spec: &SchemeSpec,
-    machine: &MachineConfig,
-    len: RunLength,
-    sampling: SamplingSpec,
-    seed: u64,
-) -> SampledStats {
-    simulator(program, Executor::new(program, seed), spec, machine, seed).run_sampled(
-        len.warmup,
-        len.measure,
-        sampling,
-    )
-}
-
-/// [`run_scheme_sampled`] over a recorded trace: the fast-forward
-/// phases use the replayer's seekable decode-skip, which is where the
-/// bulk of sampled mode's speedup comes from. A trace that runs dry
-/// ends the run early with the intervals measured so far and
-/// `truncated` set.
+/// [`SamplingSpec`] and [`Simulator::run_sampled`]) over a recorded
+/// trace: the fast-forward phases use the replayer's seekable
+/// decode-skip, which is where the bulk of sampled mode's speedup
+/// comes from. A trace that runs dry ends the run early with the
+/// intervals measured so far and `truncated` set.
 ///
 /// # Panics
 ///
 /// Panics if `trace` was not recorded against `program` with `seed`,
-/// or under the conditions of [`run_scheme_sampled`].
+/// or under the conditions of [`Simulator::run_sampled`].
 pub fn run_scheme_sampled_replayed(
     program: &Program,
     trace: &Trace,

@@ -45,9 +45,10 @@
 //!
 //! A sampled run is [`Simulator::run_sampled`]: the initial functional
 //! warm, then the interval loop, each timed window ticked by the same
-//! loop as a full-detail run. The [batch engine](crate::batch) splits
-//! the two steps so that one cell's initial warm can serve a whole
-//! scheme group. Full-detail runs never take the functional paths, so
+//! loop as a full-detail run. A sweep's sampled scheme group
+//! ([`run_schemes_batch_sampled_replayed`](crate::run_schemes_batch_sampled_replayed))
+//! splits the two steps so that one cell's initial warm can serve the
+//! whole group. Full-detail runs never take the functional paths, so
 //! they stay bit-identical to the pinned engine.
 
 use fe_model::{BlockSource, BranchKind, RetiredBlock, SimStats, INSTR_BYTES};
@@ -141,41 +142,6 @@ impl SamplingSpec {
     pub fn timed_fraction(&self) -> f64 {
         self.detail as f64 / self.interval as f64
     }
-
-    /// Reads the `SHOTGUN_SAMPLING*` environment knobs, falling back to
-    /// `self` for anything unset: `SHOTGUN_SAMPLING=interval[:detail[:warmup]]`
-    /// sets the whole shape at once, and `SHOTGUN_SAMPLING_INTERVAL` /
-    /// `SHOTGUN_SAMPLING_DETAIL` / `SHOTGUN_SAMPLING_WARMUP` override
-    /// individual fields (`_` digit separators allowed everywhere).
-    pub fn from_env(self) -> SamplingSpec {
-        let parse = |text: &str| -> Option<u64> { text.replace('_', "").parse().ok() };
-        let mut spec = self;
-        // audit-allow(no-env-in-engine): sampling-shape knobs — read once by binaries that opt in via from_env; the resolved spec is recorded in every report, so results stay attributable
-        if let Ok(compact) = std::env::var("SHOTGUN_SAMPLING") {
-            let mut fields = compact.split(':');
-            if let Some(v) = fields.next().and_then(parse) {
-                spec.interval = v;
-            }
-            if let Some(v) = fields.next().and_then(parse) {
-                spec.detail = v;
-            }
-            if let Some(v) = fields.next().and_then(parse) {
-                spec.warmup = v;
-            }
-        }
-        // audit-allow(no-env-in-engine): same from_env opt-in as above — per-field overrides of the compact spec
-        let env = |name: &str| std::env::var(name).ok().as_deref().and_then(parse);
-        if let Some(v) = env("SHOTGUN_SAMPLING_INTERVAL") {
-            spec.interval = v;
-        }
-        if let Some(v) = env("SHOTGUN_SAMPLING_DETAIL") {
-            spec.detail = v;
-        }
-        if let Some(v) = env("SHOTGUN_SAMPLING_WARMUP") {
-            spec.warmup = v;
-        }
-        spec
-    }
 }
 
 /// A sample mean with its 95% confidence half-width (normal
@@ -189,7 +155,7 @@ pub struct MeanCi {
 }
 
 /// Computes mean and 95% CI half-width over interval values.
-pub fn mean_ci95(values: &[f64]) -> MeanCi {
+pub(crate) fn mean_ci95(values: &[f64]) -> MeanCi {
     let n = values.len();
     if n == 0 {
         return MeanCi {
@@ -510,9 +476,24 @@ impl<'p> Simulator<'p> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{run_scheme, run_scheme_sampled, RunLength, SchemeSpec};
-    use fe_cfg::workloads;
+    use crate::runner::{run_scheme, RunLength, SchemeSpec};
+    use fe_cfg::{workloads, Program};
     use fe_model::MachineConfig;
+
+    /// A sampled run of `scheme` over a live walk of `program`.
+    fn run_sampled(
+        program: &Program,
+        scheme: &SchemeSpec,
+        len: RunLength,
+        spec: SamplingSpec,
+    ) -> SampledStats {
+        let machine = MachineConfig::table3();
+        Simulator::new(program, machine.clone(), scheme.build(&machine), 7).run_sampled(
+            len.warmup,
+            len.measure,
+            spec,
+        )
+    }
 
     #[test]
     fn spec_validation_rejects_broken_shapes() {
@@ -537,18 +518,15 @@ mod tests {
     #[should_panic(expected = "too short for even one")]
     fn measure_too_short_for_one_window_fails_loudly() {
         let program = workloads::nutch().scaled(0.05).build();
-        let machine = MachineConfig::table3();
         // measure < detail: would silently measure zero intervals.
-        let _ = run_scheme_sampled(
+        let _ = run_sampled(
             &program,
             &SchemeSpec::NoPrefetch,
-            &machine,
             RunLength {
                 warmup: 1_000,
                 measure: 10_000,
             },
             SamplingSpec::DEFAULT,
-            7,
         );
     }
 
@@ -564,7 +542,6 @@ mod tests {
     #[test]
     fn sampled_run_is_deterministic_and_covers_intervals() {
         let program = workloads::nutch().scaled(0.05).build();
-        let machine = MachineConfig::table3();
         let len = RunLength {
             warmup: 50_000,
             measure: 400_000,
@@ -574,8 +551,8 @@ mod tests {
             detail: 20_000,
             warmup: 20_000,
         };
-        let a = run_scheme_sampled(&program, &SchemeSpec::shotgun(), &machine, len, spec, 7);
-        let b = run_scheme_sampled(&program, &SchemeSpec::shotgun(), &machine, len, spec, 7);
+        let a = run_sampled(&program, &SchemeSpec::shotgun(), len, spec);
+        let b = run_sampled(&program, &SchemeSpec::shotgun(), len, spec);
         assert_eq!(a, b, "sampled runs must be deterministic");
         assert_eq!(a.interval_count(), 4);
         assert!(!a.truncated);
@@ -593,17 +570,15 @@ mod tests {
             measure: 600_000,
         };
         let full = run_scheme(&program, &SchemeSpec::boomerang(), &machine, len, 7);
-        let sampled = run_scheme_sampled(
+        let sampled = run_sampled(
             &program,
             &SchemeSpec::boomerang(),
-            &machine,
             len,
             SamplingSpec {
                 interval: 100_000,
                 detail: 25_000,
                 warmup: 25_000,
             },
-            7,
         );
         let agg = sampled.aggregate();
         let ipc_err = (agg.ipc() - full.ipc()).abs() / full.ipc();

@@ -11,7 +11,7 @@
 //! repeatedly (parameter studies share every non-swept cell input) can
 //! capture that state once and restore it on every subsequent run.
 //!
-//! A [`WarmSnapshot`] is a deep copy of exactly the structures the
+//! A warm snapshot is a deep copy of exactly the structures the
 //! warm path touches, plus the stream position it stopped at. Restoring
 //! installs the copies into a fresh simulator and seeks the replayer to
 //! the same position (a cheap decode-skip), after which the measured
@@ -23,7 +23,7 @@
 //! through the timed pipeline, which is the measurement, not a
 //! warm-up).
 //!
-//! The [batch engine](crate::batch) looks each sampled cell up: a hit
+//! The batch engine looks each sampled cell up: a hit
 //! restores (the cell then only seeks past the warmed prefix), and on a
 //! miss the group's shared initial warm captures and stores the state
 //! after warming. Schemes ride along as clones of their concrete state.
@@ -47,20 +47,20 @@ use crate::SchemeKind;
 /// Identifies one warmed state: everything that determines the
 /// post-warmup microarchitectural contents.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct SnapshotKey {
+pub(crate) struct SnapshotKey {
     /// [`ENGINE_VERSION`] at capture time — a warm-path change must
     /// invalidate snapshots just like it invalidates cached cells.
-    pub engine_version: u32,
+    engine_version: u32,
     /// Fingerprint of the workload program / recorded trace.
-    pub fingerprint: ProgramFingerprint,
+    fingerprint: ProgramFingerprint,
     /// Hash over (machine, scheme, seed, warmup instructions).
-    pub config_hash: u64,
+    config_hash: u64,
 }
 
 impl SnapshotKey {
     /// Key of the warmed state a sampled run of `scheme` reaches after
     /// `warmup` instructions.
-    pub fn for_run(
+    pub(crate) fn for_run(
         fingerprint: ProgramFingerprint,
         machine: &MachineConfig,
         scheme: &SchemeSpec,
@@ -134,7 +134,7 @@ struct WarmStructures {
 /// Deep copy of every structure the functional warm path mutates, plus
 /// the stream position warming stopped at. See the module docs for the
 /// exactness argument.
-pub struct WarmSnapshot {
+pub(crate) struct WarmSnapshot {
     structures: Arc<WarmStructures>,
     scheme: WarmScheme,
     /// Instructions the warm phase consumed (block-aligned).
@@ -208,7 +208,7 @@ impl<'p> Simulator<'p> {
     }
 }
 
-/// In-memory, process-lifetime store of [`WarmSnapshot`]s, bounded to
+/// In-memory, process-lifetime store of warm snapshots, bounded to
 /// `capacity` entries with least-recently-used eviction — a hit
 /// refreshes the entry's recency, so a snapshot in steady reuse is
 /// never the one evicted by newly warmed cells. Thread-safe; entries
@@ -242,7 +242,7 @@ impl SnapshotStore {
     /// Default capacity: ample for a (6 workloads × a dozen schemes)
     /// service working set while bounding memory (a snapshot is
     /// dominated by the LLC image — several MB at Table 3 sizing).
-    pub const DEFAULT_CAPACITY: usize = 128;
+    pub(crate) const DEFAULT_CAPACITY: usize = 128;
 
     /// A store with the default capacity.
     pub fn new() -> Self {
@@ -250,7 +250,7 @@ impl SnapshotStore {
     }
 
     /// A store holding at most `capacity` snapshots.
-    pub fn with_capacity(capacity: usize) -> Self {
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
         SnapshotStore {
             entries: Mutex::new(Store::default()),
             capacity: capacity.max(1),
@@ -260,7 +260,7 @@ impl SnapshotStore {
     }
 
     /// Looks up a warmed state; a hit refreshes the entry's recency.
-    pub fn get(&self, key: &SnapshotKey) -> Option<Arc<WarmSnapshot>> {
+    pub(crate) fn get(&self, key: &SnapshotKey) -> Option<Arc<WarmSnapshot>> {
         let mut store = self.entries.lock().expect("snapshot-store mutex poisoned");
         let found = store.map.get(key).cloned();
         match &found {
@@ -276,7 +276,7 @@ impl SnapshotStore {
     /// Stores a warmed state, evicting the least recently used entry
     /// when full. Re-putting an existing key keeps the stored snapshot
     /// but refreshes its recency.
-    pub fn put(&self, key: SnapshotKey, snapshot: impl Into<Arc<WarmSnapshot>>) {
+    pub(crate) fn put(&self, key: SnapshotKey, snapshot: impl Into<Arc<WarmSnapshot>>) {
         let mut store = self.entries.lock().expect("snapshot-store mutex poisoned");
         if store.map.contains_key(&key) {
             store.touch(&key);

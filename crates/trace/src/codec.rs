@@ -22,6 +22,11 @@ const FLAG_HAS_TARGET: u8 = 1 << 5;
 const FLAG_NEXT_IMPLIED: u8 = 1 << 6;
 const FLAG_RESERVED: u8 = 1 << 7;
 const KIND_MASK: u8 = 0b111;
+/// The return kinds' codes and the highest valid code, which
+/// `skip_record` checks without decoding the kind.
+const KIND_RETURN: u8 = 3;
+const KIND_TRAP_RETURN: u8 = 5;
+const KIND_MAX: u8 = 5;
 
 /// Stable on-wire numbering of [`BranchKind`] (format v1 — do not
 /// reorder).
@@ -30,9 +35,9 @@ fn kind_code(kind: BranchKind) -> u8 {
         BranchKind::Conditional => 0,
         BranchKind::Jump => 1,
         BranchKind::Call => 2,
-        BranchKind::Return => 3,
+        BranchKind::Return => KIND_RETURN,
         BranchKind::Trap => 4,
-        BranchKind::TrapReturn => 5,
+        BranchKind::TrapReturn => KIND_TRAP_RETURN,
     }
 }
 
@@ -42,9 +47,9 @@ fn kind_from_code(code: u8) -> Result<BranchKind, RecordError> {
         0 => BranchKind::Conditional,
         1 => BranchKind::Jump,
         2 => BranchKind::Call,
-        3 => BranchKind::Return,
+        KIND_RETURN => BranchKind::Return,
         4 => BranchKind::Trap,
-        5 => BranchKind::TrapReturn,
+        KIND_TRAP_RETURN => BranchKind::TrapReturn,
         _ => return Err(RecordError::BadKind(code)),
     })
 }
@@ -223,10 +228,11 @@ pub(crate) fn decode_record(
 
 /// Decodes past the next record without materializing it, returning
 /// its instruction count — the seekable-replay fast path. Only the
-/// address chain (`prev_next`) is reconstructed; block assembly,
-/// kind validation and the implied-target check are skipped, so the
-/// sampled-simulation fast-forward pays a fraction of
-/// [`decode_record`]'s work per record.
+/// address chain (`prev_next`) is reconstructed and no block is
+/// assembled, so the sampled-simulation fast-forward pays a fraction
+/// of [`decode_record`]'s work per record. It accepts exactly the
+/// records [`decode_record`] accepts, with the same result position
+/// and address chain: a seek mixes the two.
 #[inline]
 pub(crate) fn skip_record(
     bytes: &[u8],
@@ -240,6 +246,10 @@ pub(crate) fn skip_record(
     cur.pos += 2;
     if flags & FLAG_RESERVED != 0 {
         return Err(RecordError::ReservedFlag);
+    }
+    let kind = flags & KIND_MASK;
+    if kind > KIND_MAX {
+        return Err(RecordError::BadKind(kind));
     }
     if instr_count.wrapping_sub(1) >= BasicBlock::MAX_INSTRS {
         return Err(RecordError::BadCount(instr_count));
@@ -257,9 +267,10 @@ pub(crate) fn skip_record(
     let fall_through = start + instr_count as u64 * fe_model::INSTR_BYTES;
     *prev_next = if flags & FLAG_NEXT_IMPLIED != 0 {
         if flags & FLAG_TAKEN != 0 {
-            // An implied taken next PC is the static target; a
-            // taken return (no static target) never sets the flag.
-            if target.is_null() {
+            // An implied taken next PC is the static target (null when
+            // the record carries none); a taken return or trap-return
+            // has no static target, so it never sets the flag.
+            if kind == KIND_RETURN || kind == KIND_TRAP_RETURN {
                 return Err(RecordError::ImpliedReturn);
             }
             target
@@ -384,6 +395,7 @@ pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn varint_round_trips_boundaries() {
@@ -414,5 +426,35 @@ mod tests {
         encode_record(&mut out, &rb, &mut prev);
         assert_eq!(out.len(), 3, "flags + count + 1-byte target delta");
         assert_eq!(prev, Addr::new(0x1020));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+        // A seek mixes skipped and decoded records, so the two must
+        // agree on every byte string: skipping succeeds exactly where
+        // decoding does, lands on the same position and address chain,
+        // and counts the decoded block's instructions.
+        #[test]
+        fn skip_accepts_exactly_what_decode_accepts(
+            bytes in prop::collection::vec(0u8..=255, 0..40),
+            start in 0u64..1 << 20,
+        ) {
+            let (mut pos, mut prev_next) = (0, Addr::new(start));
+            while pos < bytes.len() {
+                let (mut skip_pos, mut skip_prev) = (pos, prev_next);
+                let skipped = skip_record(&bytes, &mut skip_pos, &mut skip_prev);
+                let decoded = decode_record(&bytes, &mut pos, &mut prev_next);
+                match decoded {
+                    Ok(rb) => {
+                        prop_assert_eq!(skipped, Ok(rb.instr_count()));
+                        prop_assert_eq!((skip_pos, skip_prev), (pos, prev_next));
+                    }
+                    Err(e) => {
+                        prop_assert!(skipped.is_err(), "skip accepted what decode rejects ({e:?})");
+                        break;
+                    }
+                }
+            }
+        }
     }
 }

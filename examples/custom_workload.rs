@@ -50,13 +50,10 @@ fn main() {
             SchemeSpec::shotgun(),
             SchemeSpec::Ideal,
         ])
-        .len(
-            RunLength {
-                warmup: 1_500_000,
-                measure: 4_000_000,
-            }
-            .from_env(),
-        )
+        .len(RunLength {
+            warmup: 1_500_000,
+            measure: 4_000_000,
+        })
         .seed(1)
         .run();
 

@@ -30,13 +30,10 @@ fn main() {
     let report = Experiment::new(MachineConfig::table3())
         .workload(spec)
         .schemes(schemes)
-        .len(
-            RunLength {
-                warmup: 1_500_000,
-                measure: 4_000_000,
-            }
-            .from_env(),
-        )
+        .len(RunLength {
+            warmup: 1_500_000,
+            measure: 4_000_000,
+        })
         .seed(11)
         .run();
 

@@ -6,8 +6,8 @@
 //! cargo run --release --example quickstart
 //! ```
 //!
-//! Reduce `SHOTGUN_INSTRS` (e.g. `SHOTGUN_INSTRS=1000000`) for a faster,
-//! noisier run.
+//! Each cell warms 2M instructions and measures 6M; shrink the
+//! `RunLength` below for a faster, noisier run.
 
 use fe_cfg::workloads;
 use fe_model::MachineConfig;
@@ -37,13 +37,10 @@ fn main() {
             SchemeSpec::boomerang(),
             SchemeSpec::shotgun(),
         ])
-        .len(
-            RunLength {
-                warmup: 2_000_000,
-                measure: 6_000_000,
-            }
-            .from_env(),
-        )
+        .len(RunLength {
+            warmup: 2_000_000,
+            measure: 6_000_000,
+        })
         .seed(42)
         .run();
 

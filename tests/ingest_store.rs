@@ -8,10 +8,9 @@ use std::path::PathBuf;
 
 use fe_cfg::workloads;
 use fe_model::{BlockSource, MachineConfig};
-use fe_sim::{
-    run_scheme_replayed, run_scheme_store_replayed, Experiment, RunLength, SamplingSpec, SchemeSpec,
-};
+use fe_sim::{run_scheme_replayed, Experiment, RunLength, SamplingSpec, SchemeSpec, Simulator};
 use fe_trace::{IngestOptions, SourceFormat, Trace, TraceStore};
+use fe_uarch::MemorySystem;
 
 const SEED: u64 = 0x5407;
 
@@ -128,7 +127,16 @@ fn store_replay_is_bit_identical_and_seek_skips_chunks() {
 
     for scheme in [SchemeSpec::NoPrefetch, SchemeSpec::shotgun()] {
         let flat = run_scheme_replayed(&program, &trace, &scheme, &machine, LEN, SEED);
-        let chunked = run_scheme_store_replayed(&program, &store, &scheme, &machine, LEN, SEED);
+        let mut sim = Simulator::with_source(
+            &program,
+            machine.clone(),
+            scheme.build(&machine),
+            SEED,
+            MemorySystem::new(&machine),
+            store.replayer(),
+        );
+        let chunked = sim.run(LEN.warmup, LEN.measure);
+        assert!(!sim.source_exhausted(), "store ran dry");
         assert_eq!(flat, chunked, "store replay under {}", scheme.label());
     }
 

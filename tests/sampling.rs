@@ -61,8 +61,8 @@ fn sampled_mpki_matches_full_detail_on_named_workloads() {
         let program = wl.scaled(0.05).build();
         for scheme in [SchemeSpec::NoPrefetch, SchemeSpec::shotgun()] {
             let full = run_scheme(&program, &scheme, &machine, LEN, 0x5407);
-            let sampled =
-                fe_sim::run_scheme_sampled(&program, &scheme, &machine, LEN, SPEC, 0x5407);
+            let sampled = Simulator::new(&program, machine.clone(), scheme.build(&machine), 0x5407)
+                .run_sampled(LEN.warmup, LEN.measure, SPEC);
             assert!(
                 sampled.interval_count() > 1,
                 "{name}: sampling must measure several intervals"
