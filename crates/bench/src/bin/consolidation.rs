@@ -15,14 +15,15 @@
 //! ```
 //!
 //! Environment: `SHOTGUN_MIX` (default `apache+db2`; `+`-separated
-//! preset names) and `SHOTGUN_LLC_KIB` (per-tile LLC KiB override —
-//! shrink it to study capacity contention; the Table 3 8 MB LLC holds
-//! the suite's code footprints comfortably), plus the standard
+//! preset names; an unknown name exits 2) and `SHOTGUN_LLC_KIB`
+//! (per-tile LLC KiB override — shrink it to study capacity
+//! contention; the Table 3 8 MB LLC holds the suite's code footprints
+//! comfortably), plus the standard
 //! `SHOTGUN_SCALE` / `SHOTGUN_WARMUP` / `SHOTGUN_INSTRS` /
 //! `SHOTGUN_JSON_DIR` knobs.
 
 use fe_bench::{banner, default_len, knobs, machine, SEED};
-use fe_cfg::{workloads, Program};
+use fe_cfg::Program;
 use fe_model::stats::geometric_mean;
 use fe_model::{MachineConfig, SimStats};
 use fe_sim::json::Json;
@@ -73,11 +74,7 @@ fn mpki(stats: &SimStats, misses: u64) -> f64 {
 }
 
 fn main() {
-    let mix_name = knobs::text("SHOTGUN_MIX").unwrap_or_else(|| "apache+db2".into());
-    let mix = workloads::mix_by_name(&mix_name).unwrap_or_else(|| {
-        eprintln!("unknown mix `{mix_name}` (want e.g. apache+db2); using apache+db2");
-        workloads::apache_db2()
-    });
+    let mix = knobs::mix();
     let scale = knobs::scale();
     let mix = if (scale - 1.0).abs() < 1e-9 {
         mix

@@ -22,9 +22,9 @@
 //!
 //! Standard knobs apply (`SHOTGUN_INSTRS`/`_WARMUP`/`_SCALE`,
 //! `SHOTGUN_THREADS`, `SHOTGUN_JSON_DIR`); `SHOTGUN_SAMPLING` switches
-//! the sweep to sampled mode, which also exercises the warmed-state
-//! snapshot store. The service root is a per-process temp directory,
-//! removed on success.
+//! the sweep to sampled mode, whose cold submission runs each
+//! workload's schemes over one shared warm. The service root is a
+//! per-process temp directory, removed on success.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

@@ -15,6 +15,7 @@ use std::fmt;
 use std::path::PathBuf;
 use std::str::FromStr;
 
+use fe_cfg::{workloads, MixSpec};
 use fe_sim::{RunLength, SamplingSpec};
 
 /// A knob that is set but does not parse.
@@ -172,6 +173,25 @@ pub fn scale() -> f64 {
     var("SHOTGUN_SCALE").unwrap_or(1.0)
 }
 
+/// The mix `SHOTGUN_MIX` names (`+`-separated preset names),
+/// `apache+db2` when unset.
+fn mix_in(get: Lookup) -> Result<MixSpec, KnobError> {
+    let Some(value) = get("SHOTGUN_MIX") else {
+        return Ok(workloads::apache_db2());
+    };
+    workloads::mix_by_name(&value).ok_or_else(|| KnobError {
+        name: "SHOTGUN_MIX".into(),
+        value,
+        why: "unknown mix (want e.g. apache+db2)".into(),
+    })
+}
+
+/// `SHOTGUN_MIX`: the consolidation mix (default `apache+db2`). Exits
+/// 2 on a name that is not a mix of presets.
+pub fn mix() -> MixSpec {
+    or_exit(mix_in(&text))
+}
+
 /// `SHOTGUN_THREADS`: sweep worker threads (default: all cores).
 pub fn threads() -> usize {
     var("SHOTGUN_THREADS").unwrap_or_else(|| {
@@ -303,6 +323,18 @@ mod tests {
         assert!(
             err.to_string().starts_with("SHOTGUN_SAMPLING_WARMUP=-1: "),
             "{err}"
+        );
+    }
+
+    #[test]
+    fn mix_defaults_to_apache_db2_and_rejects_unknown_names() {
+        assert_eq!(mix_in(&table(&[])).expect("default").name, "apache+db2");
+        let vars = table(&[("SHOTGUN_MIX", "oracle+oracle")]);
+        assert_eq!(mix_in(&vars).expect("known").name, "oracle+oracle");
+        let err = mix_in(&table(&[("SHOTGUN_MIX", "apache+db3")])).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "SHOTGUN_MIX=apache+db3: unknown mix (want e.g. apache+db2)"
         );
     }
 }

@@ -5,7 +5,7 @@
 //! service: clients submit sweep specifications over TCP, the service
 //! runs them strictly FIFO through [`fe_sim::Experiment`], streams
 //! per-cell progress, and returns the final
-//! [`SweepReport`](fe_sim::SweepReport) JSON. Four storage layers
+//! [`SweepReport`](fe_sim::SweepReport) JSON. Three storage layers
 //! make repeated and interrupted work cheap:
 //!
 //! * **Content-addressed result cache** ([`DiskCellStore`]) — every
@@ -20,10 +20,6 @@
 //!   the cell cache is the whole checkpoint: a killed daemon re-enqueues
 //!   pending specs on restart and recomputes nothing that already
 //!   finished.
-//! * **Warmed-state snapshots** ([`fe_sim::SnapshotStore`]) — sampled
-//!   cells capture their post-warmup microarchitectural state once per
-//!   (workload, config); re-runs restore it instead of re-warming,
-//!   bit-identically.
 //! * **Program fingerprint memo** ([`fe_sim::FingerprintMemo`]) — each
 //!   workload spec's program fingerprint, remembered in memory for the
 //!   daemon's lifetime, so cell keys resolve without synthesis and a

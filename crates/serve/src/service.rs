@@ -5,12 +5,10 @@
 //! (see [`server`](crate::server)): jobs are submitted as [`JobSpec`]s,
 //! persisted under `jobs/` before they are acknowledged, and executed
 //! strictly in submission order through [`fe_sim::Experiment`] with
-//! three storage layers installed:
+//! two storage layers installed:
 //!
 //! * the shared [`DiskCellStore`] — repeated cells across jobs cost a
 //!   file read, byte-identical to computing them;
-//! * a process-lifetime [`SnapshotStore`] so sampled re-runs skip
-//!   functional warming;
 //! * a process-lifetime [`FingerprintMemo`] so a job resolves its cell
 //!   keys without synthesizing programs, and a fully cached job builds
 //!   none.
@@ -40,7 +38,7 @@ use fe_model::MachineConfig;
 use fe_sim::json::{self, Json};
 use fe_sim::{
     check_sweep, scheme_from_json, scheme_to_json, Experiment, FingerprintMemo, RunLength,
-    SamplingSpec, SchemeSpec, SnapshotStore,
+    SamplingSpec, SchemeSpec,
 };
 
 use crate::store::{write_atomic, DiskCellStore};
@@ -244,7 +242,6 @@ struct Worker {
     jobs_dir: PathBuf,
     cache: Arc<DiskCellStore>,
     cache_max_bytes: Option<u64>,
-    snapshots: Arc<SnapshotStore>,
     fingerprints: Arc<FingerprintMemo>,
     table: Arc<JobTable>,
     draining: Arc<AtomicBool>,
@@ -255,7 +252,6 @@ struct Worker {
 pub struct ExperimentService {
     jobs_dir: PathBuf,
     cache: Arc<DiskCellStore>,
-    snapshots: Arc<SnapshotStore>,
     fingerprints: Arc<FingerprintMemo>,
     queue: Mutex<Option<Sender<QueuedJob>>>,
     table: Arc<JobTable>,
@@ -289,7 +285,6 @@ impl ExperimentService {
             // not only after the first job.
             cache.gc(max);
         }
-        let snapshots = Arc::new(SnapshotStore::new());
         let fingerprints = Arc::new(FingerprintMemo::new());
         let table = Arc::new(JobTable {
             states: Mutex::new(HashMap::new()),
@@ -347,7 +342,6 @@ impl ExperimentService {
             jobs_dir: jobs_dir.clone(),
             cache: Arc::clone(&cache),
             cache_max_bytes,
-            snapshots: Arc::clone(&snapshots),
             fingerprints: Arc::clone(&fingerprints),
             table: Arc::clone(&table),
             draining: Arc::clone(&draining),
@@ -359,7 +353,6 @@ impl ExperimentService {
         Ok(ExperimentService {
             jobs_dir,
             cache,
-            snapshots,
             fingerprints,
             queue: Mutex::new(Some(tx)),
             table,
@@ -429,11 +422,6 @@ impl ExperimentService {
     /// The shared result cache (hit/miss accounting for callers).
     pub fn cache(&self) -> &DiskCellStore {
         &self.cache
-    }
-
-    /// The warmed-state snapshot store.
-    pub fn snapshots(&self) -> &SnapshotStore {
-        &self.snapshots
     }
 
     /// The program-fingerprint memo every job shares.
@@ -508,7 +496,6 @@ impl Worker {
             .len(spec.len)
             .seed(spec.seed)
             .cell_store(self.cache.clone())
-            .snapshots(Arc::clone(&self.snapshots))
             .fingerprints(Arc::clone(&self.fingerprints))
             .cancel_flag(Arc::clone(&self.draining))
             .on_progress(move |event| {
@@ -576,7 +563,6 @@ mod tests {
             jobs_dir: root.clone(),
             cache: Arc::new(DiskCellStore::open(root.join("cache")).expect("cache dir")),
             cache_max_bytes: None,
-            snapshots: Arc::new(SnapshotStore::new()),
             fingerprints: Arc::new(FingerprintMemo::new()),
             table: Arc::clone(&table),
             draining: Arc::new(AtomicBool::new(false)),

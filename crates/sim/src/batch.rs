@@ -9,18 +9,17 @@
 //! own [`Simulator`](crate::Simulator) reading the workload's [`Trace`]
 //! through its own replayer.
 //!
-//! The first cell with no stored [snapshot](crate::snapshot) leads: it
-//! walks the initial warm once, in a single pass, feeding every later
-//! cell's scheme that also has to warm the same retired blocks as a
-//! rider. Each of those cells then starts the way a snapshot-restored
-//! cell does: deep copies of the leader's scheme-independent warmed
-//! structures (L1-I, TAGE, retire RAS, memory image) and its own rider
-//! scheme are installed, and its replayer decode-skips past the warmed
-//! prefix. The structures depend only on the retired stream — never on
-//! the scheme riding above them, and no scheme's warm hook writes
-//! through the front-end context — so each cell lands in exactly the
-//! state its own warm would have produced. Cells that restored a stored
-//! snapshot have nothing to warm and sit out.
+//! The first cell leads: it walks the initial warm once, in a single
+//! pass, feeding every later cell's scheme as a rider on the same
+//! retired blocks. Each later cell then starts from its rider
+//! [snapshot](crate::snapshot): deep copies of the leader's
+//! scheme-independent warmed structures (L1-I, TAGE, retire RAS,
+//! memory image) and its own warmed rider scheme are installed, and its
+//! replayer decode-skips past the warmed prefix. The structures depend
+//! only on the retired stream — never on the scheme riding above them,
+//! and no scheme's warm hook writes through the front-end context — so
+//! each cell lands in exactly the state its own warm would have
+//! produced.
 //!
 //! The trace decode is not shared. Fanning one decoder out to every
 //! cell through a buffered window, with the cells round-robined in
@@ -36,7 +35,6 @@
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
-use std::sync::Arc;
 
 use fe_cfg::Program;
 use fe_model::{BlockSource, MachineConfig, RetiredBlock, SimStats};
@@ -45,14 +43,12 @@ use fe_trace::Trace;
 use crate::engine::EngineScheme;
 use crate::runner::{assert_trace_matches, run_scheme_replayed, simulator, RunLength, SchemeSpec};
 use crate::sampling::{check_sampled, SampledStats, SamplingSpec};
-use crate::snapshot::{SnapshotKey, SnapshotStore, WarmSnapshot};
 use crate::source::SourceKind;
 
 /// Sampled runs of `schemes` over `trace` (recorded from `program`
 /// with `seed`) with one shared initial warm; see the module docs.
-/// With `snapshots`, each cell restores its warmed state from the store
-/// or stores it after warming. Hands `done` each cell's index and
-/// statistics as the cell finishes, in `schemes` order.
+/// Hands `done` each cell's index and statistics as the cell finishes,
+/// in `schemes` order.
 ///
 /// # Panics
 ///
@@ -68,58 +64,22 @@ pub(crate) fn run_sampled_group(
     len: RunLength,
     sampling: SamplingSpec,
     schemes: &[SchemeSpec],
-    snapshots: Option<&SnapshotStore>,
     mut done: impl FnMut(usize, SampledStats),
 ) {
     check_sampled(len.measure, sampling);
-    let fingerprint = trace.header().fingerprint;
-    let slots: Vec<Option<(&SnapshotStore, SnapshotKey)>> = schemes
-        .iter()
-        .map(|scheme| {
-            snapshots.map(|store| {
-                let key = SnapshotKey::for_run(fingerprint, machine, scheme, seed, len.warmup);
-                (store, key)
-            })
-        })
-        .collect();
-    // One store lookup per cell, before any cell runs, so the leader
-    // knows its riders. A rider's warmed state is filled in by the
-    // leader.
-    let mut restored: Vec<Option<Arc<WarmSnapshot>>> = slots
-        .iter()
-        .map(|slot| slot.and_then(|(store, key)| store.get(&key)))
-        .collect();
-    for (i, scheme) in schemes.iter().enumerate() {
+    let Some((leader, rest)) = schemes.split_first() else {
+        return;
+    };
+    let mut sim = simulator(program, trace.replayer(), leader, machine, seed);
+    let mut riders: Vec<EngineScheme> = rest.iter().map(|s| s.build(machine)).collect();
+    sim.warm_functional_with(len.warmup, &mut riders);
+    let snapshots = sim.rider_snapshots(riders);
+    done(0, sim.run_intervals(len.measure, sampling));
+    for (i, (scheme, snap)) in rest.iter().zip(snapshots).enumerate() {
         let mut sim = simulator(program, trace.replayer(), scheme, machine, seed);
-        if let Some(snap) = restored[i].take() {
-            let warmed = sim.restore_warm(&snap);
-            sim.skip_functional(warmed);
-        } else {
-            // The leader: every later cell still without a warmed
-            // state rides along.
-            let followers: Vec<usize> = (i + 1..schemes.len())
-                .filter(|&j| restored[j].is_none())
-                .collect();
-            let mut riders: Vec<EngineScheme> = followers
-                .iter()
-                .map(|&j| schemes[j].build(machine))
-                .collect();
-            sim.warm_functional_with(len.warmup, &mut riders);
-            if let Some((store, key)) = slots[i] {
-                if let Some(snap) = sim.capture_warm() {
-                    store.put(key, snap);
-                }
-            }
-            if !riders.is_empty() {
-                for (&j, snap) in followers.iter().zip(sim.rider_snapshots(&riders)) {
-                    if let Some((store, key)) = slots[j] {
-                        store.put(key, Arc::clone(&snap));
-                    }
-                    restored[j] = Some(snap);
-                }
-            }
-        }
-        done(i, sim.run_intervals(len.measure, sampling));
+        let warmed = sim.restore_warm(snap);
+        sim.skip_functional(warmed);
+        done(i + 1, sim.run_intervals(len.measure, sampling));
     }
 }
 
@@ -153,7 +113,6 @@ pub fn run_schemes_batch_sampled_replayed(
         len,
         sampling,
         specs,
-        None,
         |_, cell| stats.push(cell),
     );
     stats

@@ -51,7 +51,6 @@ use crate::json::{parse, Json};
 use crate::multi::MultiSimulator;
 use crate::runner::{run_full, simulator, RunLength, SchemeSpec};
 use crate::sampling::{CellSampling, MeanCi, SamplingSpec};
-use crate::snapshot::SnapshotStore;
 
 /// A sweep stopped by its cancel flag before every cell completed (see
 /// [`Experiment::cancel_flag`]). Cells finished before the stop were
@@ -145,7 +144,6 @@ pub struct Experiment {
     trace_dir: Option<PathBuf>,
     sampling: Option<SamplingSpec>,
     cell_store: Option<Arc<dyn CellStore>>,
-    snapshots: Option<Arc<SnapshotStore>>,
     fingerprint_memo: Option<Arc<FingerprintMemo>>,
     cancel: Option<Arc<AtomicBool>>,
 }
@@ -171,7 +169,6 @@ impl Experiment {
             trace_dir: None,
             sampling: None,
             cell_store: None,
-            snapshots: None,
             fingerprint_memo: None,
             cancel: None,
         }
@@ -286,17 +283,6 @@ impl Experiment {
         self
     }
 
-    /// Installs a warmed-state snapshot store (see the
-    /// [`snapshot`](crate::snapshot) module): sampled cells capture
-    /// their post-warmup microarchitectural state on first run and
-    /// restore it on repeats, skipping functional warming. Statistics
-    /// are bit-identical either way. Ignored for full-detail sweeps
-    /// (their warmup runs through the timed pipeline).
-    pub fn snapshots(mut self, store: Arc<SnapshotStore>) -> Self {
-        self.snapshots = Some(store);
-        self
-    }
-
     /// Installs a [`FingerprintMemo`]: each workload's cell keys are
     /// resolved from the fingerprint the memo remembers for its spec,
     /// and its program is synthesized only when the memo does not know
@@ -355,7 +341,6 @@ impl Experiment {
             trace_dir,
             sampling,
             cell_store,
-            snapshots,
             fingerprint_memo,
             cancel,
         } = self;
@@ -624,7 +609,6 @@ impl Experiment {
                                 len,
                                 spec,
                                 &group,
-                                snapshots.as_deref(),
                                 |k, sampled| {
                                     assert!(
                                         !sampled.truncated,
@@ -754,7 +738,7 @@ pub fn check_sweep(
 /// replay as a prefix, so shortening a sweep never invalidates the
 /// cache. Stores are reconstructed to flat traces here (lossless, see
 /// [`fe_trace::TraceStore::to_trace`]) so every downstream path — each
-/// cell's own replayer, sampled, snapshot, content-addressed cache —
+/// cell's own replayer, sampled, shared warm, content-addressed cache —
 /// works over a store unchanged. A store that fails validation is
 /// skipped like a missing one, and the workload is re-recorded.
 fn obtain_trace(

@@ -65,7 +65,7 @@ pub mod multi;
 mod pipeline;
 mod runner;
 pub mod sampling;
-pub mod snapshot;
+mod snapshot;
 mod source;
 
 pub use batch::{
@@ -85,5 +85,4 @@ pub use runner::{
     run_scheme, run_scheme_replayed, run_scheme_sampled_replayed, RunLength, SchemeSpec,
 };
 pub use sampling::{CellSampling, MeanCi, SampledStats, SamplingSpec};
-pub use snapshot::SnapshotStore;
 pub use source::SourceKind;

@@ -62,9 +62,11 @@ const INDEX_ENTRY_LEN: usize = 17;
 /// Chunk flag bit: payload is LZ-compressed (raw otherwise).
 const CHUNK_COMPRESSED: u8 = 1;
 
-/// Why the replayer's chunk decodes cannot fail: both constructors
-/// ([`TraceStore::from_bytes`] and the `from_trace` family) validate
-/// the store, decoding every chunk once.
+/// Why the replayer's chunk decodes and decode-skips cannot fail: both
+/// constructors ([`TraceStore::from_bytes`] and the `from_trace`
+/// family) validate the store, decoding every chunk once, and a record
+/// that decodes also decode-skips (the codec's
+/// `skip_accepts_exactly_what_decode_accepts` proptest).
 const CHUNKS_VALIDATED: &str = "every chunk decoded when the store was built or loaded";
 
 /// One chunk's index entry: everything a seek needs to know about the
@@ -195,9 +197,11 @@ impl TraceStore {
     /// exactly (a mismatch means the store lies about its own
     /// geometry). Then every chunk is decoded once: it must decompress
     /// to exactly its `raw_len`, hold exactly its `records` records
-    /// with no bytes left over, and sum to its `instrs`. Every record
-    /// must also decode-skip to the same stream position as a full
-    /// decode, since a replayer mixes both.
+    /// with no bytes left over, and sum to its `instrs`. A replayer's
+    /// seek decode-skips some of those records instead, which cannot
+    /// fail either: `codec::skip_record` accepts exactly the records
+    /// `codec::decode_record` accepts, landing on the same position
+    /// (the `skip_accepts_exactly_what_decode_accepts` proptest).
     fn validate(&self) -> Result<(), TraceError> {
         let sum = |field: fn(&ChunkEntry) -> u32| -> u64 {
             self.index.iter().map(|e| field(e) as u64).sum()
@@ -238,16 +242,8 @@ impl TraceStore {
             let (mut pos, mut prev_next) = (0, Addr::NULL);
             let mut instrs = 0u64;
             for record in 0..entry.records {
-                let (mut skip_pos, mut skip_prev) = (pos, prev_next);
-                let skipped = codec::skip_record(&buf, &mut skip_pos, &mut skip_prev);
                 let decoded = codec::decode_record(&buf, &mut pos, &mut prev_next)
                     .map_err(|e| corrupt(format!("record {record}: {}", TraceError::from(e))))?;
-                if skipped != Ok(decoded.instr_count()) || (skip_pos, skip_prev) != (pos, prev_next)
-                {
-                    return Err(corrupt(format!(
-                        "record {record} decodes but does not decode-skip"
-                    )));
-                }
                 instrs += decoded.instr_count();
             }
             if pos != buf.len() {

@@ -103,6 +103,8 @@ fn batch_report_is_byte_identical_across_all_named_workloads_and_schemes() {
     assert_cells_match_one_cell_runs(&report, &specs);
 }
 
+/// Every scheme kind rides the shared warm: each workload's first
+/// cell leads, and the five after it restore their rider snapshots.
 #[test]
 fn sampled_batch_report_is_byte_identical() {
     let specs = vec![
@@ -111,11 +113,7 @@ fn sampled_batch_report_is_byte_identical() {
     ];
     let report = Experiment::new(MachineConfig::table3())
         .workloads(specs.clone())
-        .schemes([
-            SchemeSpec::NoPrefetch,
-            SchemeSpec::boomerang(),
-            SchemeSpec::shotgun(),
-        ])
+        .schemes(all_schemes())
         .len(RunLength {
             warmup: 40_000,
             measure: 150_000,

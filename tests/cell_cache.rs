@@ -213,12 +213,11 @@ fn cached_sweep_is_byte_identical_and_recomputes_nothing() {
 }
 
 /// Same guarantee in sampled mode, where cached cells carry the
-/// sampling summary and the snapshot store rides along.
+/// sampling summary.
 #[test]
 fn cached_sampled_sweep_is_byte_identical() {
     let store = Arc::new(MemoryCellStore::new());
-    let snapshots = Arc::new(fe_sim::SnapshotStore::new());
-    let sweep = |store: Arc<MemoryCellStore>, snapshots: Arc<fe_sim::SnapshotStore>| {
+    let sweep = |store: Arc<MemoryCellStore>| {
         Experiment::new(MachineConfig::table3())
             .workload(workloads::nutch().scaled(0.05))
             .schemes([SchemeSpec::NoPrefetch, SchemeSpec::shotgun()])
@@ -233,12 +232,11 @@ fn cached_sampled_sweep_is_byte_identical() {
             })
             .seed(9)
             .cell_store(store)
-            .snapshots(snapshots)
             .run()
     };
-    let cold = sweep(Arc::clone(&store), Arc::clone(&snapshots));
-    assert_eq!(snapshots.len(), 2, "one warm snapshot per scheme");
-    let warm = sweep(store, snapshots);
+    let cold = sweep(Arc::clone(&store));
+    let warm = sweep(Arc::clone(&store));
+    assert_eq!(store.hits(), 2, "warm sweep serves every cell");
     assert_eq!(cold.to_json(), warm.to_json());
     for cell in &warm.cells {
         assert!(cell.sampling.is_some(), "sampled cells keep their summary");

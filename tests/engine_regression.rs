@@ -5,15 +5,12 @@
 //! ordering, stall accounting, RNG streams, or JSON shape shows up as
 //! a byte diff here. A second fixture pins a sampled sweep the same
 //! way: its cells share an initial warm, so the sampled driver, the
-//! shared warm and snapshot restores are pinned to bytes too.
-
-use std::sync::Arc;
+//! shared warm and the riders' restores are pinned to bytes too.
 
 use fe_cfg::{workloads, Executor, Program};
 use fe_model::{MachineConfig, SimStats};
 use fe_sim::{
-    run_scheme, Experiment, RunLength, SamplingSpec, SchemeSpec, Simulator, SnapshotStore,
-    SourceKind, SweepReport,
+    run_scheme, Experiment, RunLength, SamplingSpec, SchemeSpec, Simulator, SourceKind, SweepReport,
 };
 use fe_trace::{Trace, TraceStore};
 use fe_uarch::MemorySystem;
@@ -47,11 +44,9 @@ fn refactored_pipeline_reproduces_pre_refactor_json_bytes() {
 }
 
 /// Two workloads × four schemes, sampled: each workload's cells share
-/// one initial warm (one leader, three riders). With a snapshot store
-/// the first sweep captures every cell's warmed state and the second
-/// restores it.
-fn pinned_sampled_sweep(snapshots: Option<&Arc<SnapshotStore>>) -> String {
-    let mut sweep = Experiment::new(MachineConfig::table3())
+/// one initial warm (one leader, three riders).
+fn pinned_sampled_sweep() -> String {
+    Experiment::new(MachineConfig::table3())
         .workloads([
             workloads::nutch().scaled(0.1),
             workloads::zeus().scaled(0.1),
@@ -72,29 +67,18 @@ fn pinned_sampled_sweep(snapshots: Option<&Arc<SnapshotStore>>) -> String {
             warmup: 10_000,
         })
         .seed(0x5407)
-        .threads(1);
-    if let Some(store) = snapshots {
-        sweep = sweep.snapshots(Arc::clone(store));
-    }
-    sweep.run().to_json()
+        .threads(1)
+        .run()
+        .to_json()
 }
 
 #[test]
 fn sampled_sweep_reproduces_its_pinned_json_bytes() {
     assert_eq!(
-        pinned_sampled_sweep(None),
+        pinned_sampled_sweep(),
         PINNED_SAMPLED,
         "sampled sweep diverged from its pinned report"
     );
-    let store = Arc::new(SnapshotStore::new());
-    for pass in ["capturing", "restoring"] {
-        assert_eq!(
-            pinned_sampled_sweep(Some(&store)),
-            PINNED_SAMPLED,
-            "sampled sweep {pass} snapshots diverged from its pinned report"
-        );
-    }
-    assert_eq!(store.hits(), 8, "the second sweep restores every cell");
 }
 
 #[test]
