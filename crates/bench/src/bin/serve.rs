@@ -11,8 +11,9 @@
 //!    every workload's program without synthesizing it.
 //!
 //! Emitted as `BENCH_serve.json` under `SHOTGUN_JSON_DIR`: wall time,
-//! jobs/s, cache-hit rate and fingerprint-memo counts (hits, misses,
-//! programs built) per submission — the tracked throughput
+//! jobs/s, cache-hit rate, fingerprint-memo counts (hits, misses,
+//! programs built) and how the service took the job (answered at
+//! submission or queued) per submission — the tracked throughput
 //! trajectory of the service path (queue + job spec + cache + wire
 //! protocol overhead rides on top of raw simulation).
 //!
@@ -30,7 +31,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use fe_bench::{banner, default_len, knobs, suite, write_serve_json, MemoCounts, ServeRun, SEED};
+use fe_bench::{
+    banner, default_len, knobs, suite, write_serve_json, JobCounts, MemoCounts, ServeRun, SEED,
+};
 use fe_serve::{submit_job, ClientOutcome, ExperimentService, JobSpec, JobWorkload, Server};
 use fe_sim::SchemeSpec;
 
@@ -79,24 +82,34 @@ fn main() {
         misses: memo.misses(),
         programs_built: memo.programs_built(),
     };
-    let submit = |label: &str| -> (ClientOutcome, f64, MemoCounts) {
-        let before = memo_counts();
+    let job_counts = || JobCounts {
+        answered: service.answered(),
+        queued: service.queued(),
+    };
+    let submit = |label: &str| -> (ClientOutcome, f64, MemoCounts, JobCounts) {
+        let (memo_before, jobs_before) = (memo_counts(), job_counts());
         let t0 = Instant::now();
         let outcome = submit_job(&addr, &spec).expect("submission succeeds");
         let wall = t0.elapsed().as_secs_f64();
-        let memo = memo_counts().since(&before);
+        let memo = memo_counts().since(&memo_before);
+        let jobs = job_counts().since(&jobs_before);
         eprintln!(
-            "[{label}] job {}: {} cells ({} cached), {} programs built, in {:.1} ms",
+            "[{label}] job {}: {} cells ({} cached), {} programs built, {}, in {:.1} ms",
             outcome.job_id,
             outcome.progress.len(),
             outcome.cached_cells(),
             memo.programs_built,
+            if jobs.answered > 0 {
+                "answered at submission"
+            } else {
+                "queued"
+            },
             wall * 1e3,
         );
-        (outcome, wall, memo)
+        (outcome, wall, memo, jobs)
     };
-    let (cold, cold_wall, cold_memo) = submit("cold");
-    let (warm, warm_wall, warm_memo) = submit("warm");
+    let (cold, cold_wall, cold_memo, cold_jobs) = submit("cold");
+    let (warm, warm_wall, warm_memo, warm_jobs) = submit("warm");
     stop.store(true, Ordering::SeqCst);
     server_thread.join().expect("server thread");
 
@@ -151,9 +164,11 @@ fn main() {
         cold_wall_ms: cold_wall * 1e3,
         cold_hit_rate: hit_rate(&cold),
         cold_memo,
+        cold_jobs,
         warm_wall_ms: warm_wall * 1e3,
         warm_hit_rate: hit_rate(&warm),
         warm_memo,
+        warm_jobs,
         report_bytes: cold.report.len(),
     });
     let _ = std::fs::remove_dir_all(&root);

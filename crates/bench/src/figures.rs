@@ -732,6 +732,10 @@ mod tests {
                 );
             }
             if let Body::Sweep { schemes, .. } = &figure.body {
+                // The rules a service job is held to, scheme geometry
+                // included: every swept scheme (Fig. 13's 8K budget,
+                // Fig. 12's 1K C-BTB, Fig. 9's "No bit vector" U-BTB)
+                // must pass `SchemeSpec::validate`.
                 let names: Vec<String> = used.iter().map(|w| w.name.clone()).collect();
                 check_sweep(&names, &schemes(), LEN, None)
                     .unwrap_or_else(|e| panic!("{}: {e}", figure.name));

@@ -98,6 +98,9 @@ pub struct ServeRun {
     pub cold_hit_rate: f64,
     /// Fingerprint-memo activity during the first submission.
     pub cold_memo: MemoCounts,
+    /// How the service took the first submission (the gate demands
+    /// it queued: nothing was cached).
+    pub cold_jobs: JobCounts,
     /// Wall time of the resubmission (served from cache).
     pub warm_wall_ms: f64,
     /// Cache-hit rate of the resubmission (the gate demands 1.0).
@@ -105,6 +108,9 @@ pub struct ServeRun {
     /// Fingerprint-memo activity during the resubmission (the gate
     /// demands 0 programs built).
     pub warm_memo: MemoCounts,
+    /// How the service took the resubmission (the gate demands it
+    /// answered at submission, never queued).
+    pub warm_jobs: JobCounts,
     /// Size of the (byte-identical) report both runs returned.
     pub report_bytes: usize,
 }
@@ -132,12 +138,33 @@ impl MemoCounts {
     }
 }
 
+/// How the service took the jobs of one submission (see
+/// `fe_serve::ExperimentService::{answered, queued}`).
+#[derive(Clone, Copy, Debug, Default)]
+pub struct JobCounts {
+    /// Jobs the cache fully answered at submission.
+    pub answered: u64,
+    /// Jobs that went through the worker's queue.
+    pub queued: u64,
+}
+
+impl JobCounts {
+    /// The counts accumulated since `earlier`.
+    pub fn since(&self, earlier: &JobCounts) -> JobCounts {
+        JobCounts {
+            answered: self.answered - earlier.answered,
+            queued: self.queued - earlier.queued,
+        }
+    }
+}
+
 /// Emits `BENCH_serve.json` under `SHOTGUN_JSON_DIR`: service
-/// throughput (jobs/s, cold and cached), cache-hit rates and
-/// fingerprint-memo counts. Like `BENCH_perf.json`, all wall-clock
+/// throughput (jobs/s, cold and cached), cache-hit rates,
+/// fingerprint-memo counts, and how many jobs were answered at
+/// submission or queued. Like `BENCH_perf.json`, all wall-clock
 /// fields live here and only here.
 pub fn write_serve_json(run: &ServeRun) {
-    let submission = |wall_ms: f64, hit_rate: f64, memo: &MemoCounts| {
+    let submission = |wall_ms: f64, hit_rate: f64, memo: &MemoCounts, jobs: &JobCounts| {
         Json::Obj(vec![
             ("wall_ms".into(), Json::F64(wall_ms)),
             ("jobs_per_s".into(), Json::F64(1e3 / wall_ms)),
@@ -145,6 +172,8 @@ pub fn write_serve_json(run: &ServeRun) {
             ("fingerprint_hits".into(), Json::U64(memo.hits)),
             ("fingerprint_misses".into(), Json::U64(memo.misses)),
             ("programs_built".into(), Json::U64(memo.programs_built)),
+            ("jobs_answered".into(), Json::U64(jobs.answered)),
+            ("jobs_queued".into(), Json::U64(jobs.queued)),
         ])
     };
     let sampling = run.sampling.map_or(Json::Null, |s| s.to_json());
@@ -163,11 +192,21 @@ pub fn write_serve_json(run: &ServeRun) {
         ),
         (
             "cold".into(),
-            submission(run.cold_wall_ms, run.cold_hit_rate, &run.cold_memo),
+            submission(
+                run.cold_wall_ms,
+                run.cold_hit_rate,
+                &run.cold_memo,
+                &run.cold_jobs,
+            ),
         ),
         (
             "warm".into(),
-            submission(run.warm_wall_ms, run.warm_hit_rate, &run.warm_memo),
+            submission(
+                run.warm_wall_ms,
+                run.warm_hit_rate,
+                &run.warm_memo,
+                &run.warm_jobs,
+            ),
         ),
         (
             "summary".into(),

@@ -3,7 +3,9 @@
 //!
 //! A daemon that turns the repo's sweep engine into a long-running
 //! service: clients submit sweep specifications over TCP, the service
-//! runs them strictly FIFO through [`fe_sim::Experiment`], streams
+//! runs them through [`fe_sim::Experiment`] — a job the cache fully
+//! answers at submission, every other job in submission order on one
+//! worker — streams
 //! per-cell progress, and returns the final
 //! [`SweepReport`](fe_sim::SweepReport) JSON. Three storage layers
 //! make repeated and interrupted work cheap:
@@ -14,8 +16,9 @@
 //!   engine version). Resubmitting a sweep serves every cell from disk,
 //!   **byte-identical** to computing it: cached values run through the
 //!   exact JSON encoders report cells use.
-//! * **Resumable jobs** — job specs are durable (write-to-temp +
-//!   fsync + rename, never torn) before they are acknowledged. A cell
+//! * **Resumable jobs** — an acknowledged job is durable before the
+//!   ack (write-to-temp + fsync + rename, never torn): a fully cached
+//!   job by its report, any other job by its pending spec. A cell
 //!   is a deterministic function of its key, so the pending spec plus
 //!   the cell cache is the whole checkpoint: a killed daemon re-enqueues
 //!   pending specs on restart and recomputes nothing that already

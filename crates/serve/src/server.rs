@@ -10,8 +10,8 @@
 //! service layer finishes the in-flight cell. The read half of every
 //! open connection is then shut, so a client that never sends its
 //! submit cannot hold the drain. One connection carries one job;
-//! per-connection handler threads stream progress as the worker
-//! produces it.
+//! per-connection handler threads stream progress as the job produces
+//! it.
 
 use std::io::{self, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};

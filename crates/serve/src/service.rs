@@ -1,11 +1,14 @@
 //! The experiment service proper: a FIFO job queue over one worker
-//! thread, durable job specs, and graceful shutdown.
+//! thread, durable job specs and reports, and graceful shutdown.
 //!
 //! [`ExperimentService`] is the in-process core the TCP daemon wraps
-//! (see [`server`](crate::server)): jobs are submitted as [`JobSpec`]s,
-//! persisted under `jobs/` before they are acknowledged, and executed
-//! strictly in submission order through [`fe_sim::Experiment`] with
-//! two storage layers installed:
+//! (see [`server`](crate::server)): jobs are submitted as [`JobSpec`]s
+//! and run through [`fe_sim::Experiment`]. A job the cache fully
+//! answers is answered at submission, on the submitting thread: its
+//! report is durable under `jobs/` before the ack, and it never enters
+//! the queue. Every other job has its spec persisted under `jobs/`
+//! before the ack, and queued jobs run in submission order on the
+//! worker. Either way the sweep has two storage layers installed:
 //!
 //! * the shared [`DiskCellStore`] — repeated cells across jobs cost a
 //!   file read, byte-identical to computing them;
@@ -28,16 +31,16 @@ use std::fs;
 use std::io;
 use std::panic::{self, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
-use fe_cfg::workloads;
+use fe_cfg::{workloads, WorkloadSpec};
 use fe_model::MachineConfig;
 use fe_sim::json::{self, Json};
 use fe_sim::{
-    check_sweep, scheme_from_json, scheme_to_json, Experiment, FingerprintMemo, RunLength,
+    check_sweep, scheme_from_json, scheme_to_json, CellKey, Experiment, FingerprintMemo, RunLength,
     SamplingSpec, SchemeSpec,
 };
 
@@ -182,12 +185,25 @@ impl JobSpec {
     pub fn cell_count(&self) -> usize {
         self.workloads.len() * self.schemes.len()
     }
+
+    /// The catalog specs of a [validated](Self::validate) job's
+    /// workloads, scaled as asked.
+    fn workload_specs(&self) -> impl Iterator<Item = WorkloadSpec> + '_ {
+        self.workloads.iter().map(|w| {
+            let base = workloads::by_name(&w.name).expect("validated at submission");
+            match w.scale {
+                Some(scale) => base.scaled(scale),
+                None => base,
+            }
+        })
+    }
 }
 
 /// Where a job is in its life cycle.
 #[derive(Clone, Debug, PartialEq)]
 pub enum JobState {
-    /// Waiting in the FIFO queue.
+    /// Waiting in the FIFO queue for the worker. A job the cache fully
+    /// answers is never queued: it is `Done` when `submit` returns.
     Queued,
     /// The worker is sweeping it.
     Running,
@@ -235,29 +251,35 @@ struct QueuedJob {
     progress: Option<Sender<JobProgress>>,
 }
 
+/// What running a job needs, shared by the two places a job runs: the
+/// submitting thread, for a job the cache fully answers, and the
+/// worker thread, for every other job.
+struct JobRunner {
+    jobs_dir: PathBuf,
+    cache: Arc<DiskCellStore>,
+    fingerprints: Arc<FingerprintMemo>,
+    draining: Arc<AtomicBool>,
+}
+
 /// What the worker thread owns — deliberately *not* the service
 /// itself, so dropping the last external [`ExperimentService`] handle
 /// closes the queue and lets the worker exit.
 struct Worker {
-    jobs_dir: PathBuf,
-    cache: Arc<DiskCellStore>,
+    runner: Arc<JobRunner>,
     cache_max_bytes: Option<u64>,
-    fingerprints: Arc<FingerprintMemo>,
     table: Arc<JobTable>,
-    draining: Arc<AtomicBool>,
 }
 
 /// The in-process experiment service. See the module docs; the TCP
 /// daemon in [`server`](crate::server) is a thin wrapper over this.
 pub struct ExperimentService {
-    jobs_dir: PathBuf,
-    cache: Arc<DiskCellStore>,
-    fingerprints: Arc<FingerprintMemo>,
+    runner: Arc<JobRunner>,
     queue: Mutex<Option<Sender<QueuedJob>>>,
     table: Arc<JobTable>,
     next_id: Mutex<JobId>,
-    draining: Arc<AtomicBool>,
     worker: Mutex<Option<JoinHandle<()>>>,
+    answered: AtomicU64,
+    queued: AtomicU64,
 }
 
 impl ExperimentService {
@@ -268,8 +290,8 @@ impl ExperimentService {
         Self::open_with_cache_limit(root, None)
     }
 
-    /// [`Self::open`] with a cache size budget: after every finished
-    /// job (and once at startup) the disk cell cache is garbage-
+    /// [`Self::open`] with a cache size budget: after every job the
+    /// worker runs (and once at startup) the disk cell cache is garbage-
     /// collected down to `max_bytes`, evicting least-recently-used
     /// cells first (see [`DiskCellStore::gc`]). `None` = unbounded.
     pub fn open_with_cache_limit(
@@ -325,6 +347,7 @@ impl ExperimentService {
             }
         }
         pending.sort_by_key(|(id, _)| *id);
+        let resumed = pending.len() as u64;
         {
             let mut states = table.states.lock().unwrap();
             for (id, spec) in pending {
@@ -338,53 +361,62 @@ impl ExperimentService {
             }
         }
 
+        let runner = Arc::new(JobRunner {
+            jobs_dir,
+            cache,
+            fingerprints,
+            draining,
+        });
         let worker = Worker {
-            jobs_dir: jobs_dir.clone(),
-            cache: Arc::clone(&cache),
+            runner: Arc::clone(&runner),
             cache_max_bytes,
-            fingerprints: Arc::clone(&fingerprints),
             table: Arc::clone(&table),
-            draining: Arc::clone(&draining),
         };
         let handle = std::thread::Builder::new()
             .name("fe-serve-worker".into())
             .spawn(move || worker.work(rx))?;
 
         Ok(ExperimentService {
-            jobs_dir,
-            cache,
-            fingerprints,
+            runner,
             queue: Mutex::new(Some(tx)),
             table,
             next_id: Mutex::new(last_id + 1),
-            draining,
             worker: Mutex::new(Some(handle)),
+            answered: AtomicU64::new(0),
+            queued: AtomicU64::new(resumed),
         })
     }
 
-    /// Submits a job: the spec is durably persisted *before* this
-    /// returns, so an accepted job survives a crash. Fails when the
-    /// service is draining (shutdown refuses new work) or the spec
-    /// cannot be persisted, and refuses a spec that fails
-    /// [`JobSpec::validate`]. The returned receiver streams one
-    /// [`JobProgress`] per completed cell.
+    /// Submits a job. Every job this acknowledges is durable before it
+    /// returns, so an accepted job survives a crash:
+    ///
+    /// * a job whose every cell the cache holds is answered here, on
+    ///   the calling thread: its report is written durably and it is
+    ///   [`JobState::Done`] on return, without a spec file or a place
+    ///   in the queue (a cell lost between the check and the run is
+    ///   computed on the spot);
+    /// * any other job has its spec durably persisted, then joins the
+    ///   queue behind the jobs already in it.
+    ///
+    /// Fails when the service is draining (shutdown refuses new work)
+    /// or the spec or report cannot be persisted, and refuses a spec
+    /// that fails [`JobSpec::validate`]. The returned receiver streams
+    /// one [`JobProgress`] per completed cell.
     pub fn submit(&self, spec: &JobSpec) -> Result<(JobId, mpsc::Receiver<JobProgress>), String> {
         spec.validate()?;
-        if self.draining.load(Ordering::SeqCst) {
+        if self.is_draining() {
             return Err("service is shutting down and not accepting jobs".into());
+        }
+        if self.runner.fully_cached(spec) {
+            return self.answer(spec);
         }
         let queue = self.queue.lock().unwrap();
         let Some(tx) = queue.as_ref() else {
             return Err("service is shut down".into());
         };
-        let id = {
-            let mut next = self.next_id.lock().unwrap();
-            let id = *next;
-            *next += 1;
-            id
-        };
+        let id = self.take_id();
         write_atomic(
-            &self.jobs_dir.join(format!("{id}.json")),
+            &self.runner.spec_path(id),
             spec.to_json().render().as_bytes(),
         )
         .map_err(|e| format!("persisting job spec: {e}"))?;
@@ -396,7 +428,31 @@ impl ExperimentService {
             progress: Some(progress_tx),
         })
         .map_err(|_| "worker has exited".to_string())?;
+        self.queued.fetch_add(1, Ordering::Relaxed);
         Ok((id, progress_rx))
+    }
+
+    /// Runs a job the cache fully answers on the calling thread and
+    /// acknowledges it only once its report is durable.
+    fn answer(&self, spec: &JobSpec) -> Result<(JobId, mpsc::Receiver<JobProgress>), String> {
+        let id = self.take_id();
+        let (progress_tx, progress_rx) = mpsc::channel();
+        match self.runner.run(id, spec, Some(progress_tx)) {
+            JobState::Done(report) => {
+                self.table.set(id, JobState::Done(report));
+                self.answered.fetch_add(1, Ordering::Relaxed);
+                Ok((id, progress_rx))
+            }
+            JobState::Failed(e) => Err(e),
+            _ => Err("service is shutting down and not accepting jobs".into()),
+        }
+    }
+
+    fn take_id(&self) -> JobId {
+        let mut next = self.next_id.lock().unwrap();
+        let id = *next;
+        *next += 1;
+        id
     }
 
     /// The job's current state.
@@ -421,17 +477,29 @@ impl ExperimentService {
 
     /// The shared result cache (hit/miss accounting for callers).
     pub fn cache(&self) -> &DiskCellStore {
-        &self.cache
+        &self.runner.cache
     }
 
     /// The program-fingerprint memo every job shares.
     pub fn fingerprints(&self) -> &FingerprintMemo {
-        &self.fingerprints
+        &self.runner.fingerprints
+    }
+
+    /// Jobs answered at submission: the cache held every cell, so the
+    /// job wrote its report and never entered the queue.
+    pub fn answered(&self) -> u64 {
+        self.answered.load(Ordering::Relaxed)
+    }
+
+    /// Jobs put on the worker's queue: submissions the cache could not
+    /// fully answer, plus the pending specs [`Self::open`] resumed.
+    pub fn queued(&self) -> u64 {
+        self.queued.load(Ordering::Relaxed)
     }
 
     /// Whether shutdown has begun (new submissions are refused).
     pub fn is_draining(&self) -> bool {
-        self.draining.load(Ordering::SeqCst)
+        self.runner.draining.load(Ordering::SeqCst)
     }
 
     /// Graceful shutdown: refuses new jobs, asks the worker to stop —
@@ -439,7 +507,7 @@ impl ExperimentService {
     /// queued/interrupted specs stay on disk for the next start — and
     /// joins the worker. Idempotent.
     pub fn shutdown(&self) {
-        self.draining.store(true, Ordering::SeqCst);
+        self.runner.draining.store(true, Ordering::SeqCst);
         // Dropping the sender ends the worker's queue loop.
         *self.queue.lock().unwrap() = None;
         let handle = self.worker.lock().unwrap().take();
@@ -460,38 +528,65 @@ impl Drop for ExperimentService {
 impl Worker {
     fn work(&self, rx: mpsc::Receiver<QueuedJob>) {
         while let Ok(job) = rx.recv() {
-            if self.draining.load(Ordering::SeqCst) {
+            if self.runner.draining.load(Ordering::SeqCst) {
                 // Drain without running: the spec stays on disk for
                 // the next start.
                 self.table.set(job.id, JobState::Interrupted);
                 continue;
             }
             self.table.set(job.id, JobState::Running);
-            // A panicking job fails alone: without this the worker
-            // thread dies with the job `Running`, and every later job
-            // queues forever.
-            let state = panic::catch_unwind(AssertUnwindSafe(|| self.run_job(&job)))
-                .unwrap_or_else(|payload| JobState::Failed(panic_message(payload.as_ref())));
-            self.table.set(job.id, state);
+            let QueuedJob { id, spec, progress } = job;
+            let state = self.runner.run(id, &spec, progress);
+            if matches!(state, JobState::Done(_)) {
+                // Only after the report is durable does the pending
+                // spec disappear — a crash in between re-runs the job
+                // from a fully warm cache.
+                let _ = fs::remove_file(self.runner.spec_path(id));
+            }
+            self.table.set(id, state);
             if let Some(max) = self.cache_max_bytes {
                 // Trim after the job's cells have refreshed recency,
                 // so its working set is the last evicted.
-                self.cache.gc(max);
+                self.runner.cache.gc(max);
             }
         }
     }
+}
 
-    fn run_job(&self, job: &QueuedJob) -> JobState {
-        let QueuedJob { id, spec, progress } = job;
-        let progress = progress.as_ref().map(|tx| Mutex::new(tx.clone()));
+impl JobRunner {
+    fn spec_path(&self, id: JobId) -> PathBuf {
+        self.jobs_dir.join(format!("{id}.json"))
+    }
+
+    /// Whether the cache holds every cell of `spec`: each workload's
+    /// fingerprint is in the memo and each cell's file is on disk. A
+    /// probe only — it moves no counter and refreshes no recency, so
+    /// the run that follows counts one lookup per cell.
+    fn fully_cached(&self, spec: &JobSpec) -> bool {
+        let machine = MachineConfig::table3();
+        spec.workload_specs().all(|workload| {
+            self.fingerprints
+                .peek(&workload)
+                .is_some_and(|fingerprint| {
+                    spec.schemes.iter().all(|scheme| {
+                        self.cache.contains(&CellKey::for_cell(
+                            fingerprint,
+                            &machine,
+                            scheme,
+                            spec.len,
+                            spec.seed,
+                            spec.sampling,
+                        ))
+                    })
+                })
+        })
+    }
+
+    /// The sweep a job runs, over the shared cell cache and memo.
+    fn experiment(&self, spec: &JobSpec, progress: Option<Sender<JobProgress>>) -> Experiment {
+        let progress = progress.map(Mutex::new);
         let mut experiment = Experiment::new(MachineConfig::table3())
-            .workloads(spec.workloads.iter().map(|w| {
-                let base = workloads::by_name(&w.name).expect("validated at submission");
-                match w.scale {
-                    Some(scale) => base.scaled(scale),
-                    None => base,
-                }
-            }))
+            .workloads(spec.workload_specs())
             .schemes(spec.schemes.iter().cloned())
             .len(spec.len)
             .seed(spec.seed)
@@ -515,21 +610,29 @@ impl Worker {
         if let Some(sampling) = spec.sampling {
             experiment = experiment.sampling(sampling);
         }
-        match experiment.try_run() {
+        experiment
+    }
+
+    /// Runs job `id` and durably writes its report: `Done` once the
+    /// report is on disk, `Interrupted` when shutdown stopped the
+    /// sweep, `Failed` when the report could not be written. A job
+    /// that panics fails alone: without the catch a panic would kill
+    /// the worker with the job `Running`, and every later job would
+    /// queue forever.
+    fn run(&self, id: JobId, spec: &JobSpec, progress: Option<Sender<JobProgress>>) -> JobState {
+        let run = || match self.experiment(spec, progress).try_run() {
             Ok(report) => {
                 let rendered = report.to_json();
                 let report_path = self.jobs_dir.join(format!("{id}.report.json"));
-                if let Err(e) = write_atomic(&report_path, rendered.as_bytes()) {
-                    return JobState::Failed(format!("persisting report: {e}"));
+                match write_atomic(&report_path, rendered.as_bytes()) {
+                    Ok(()) => JobState::Done(Arc::new(rendered)),
+                    Err(e) => JobState::Failed(format!("persisting report: {e}")),
                 }
-                // Only after the report is durable does the pending
-                // spec disappear — a crash in between re-runs the job
-                // from a fully warm cache.
-                let _ = fs::remove_file(self.jobs_dir.join(format!("{id}.json")));
-                JobState::Done(Arc::new(rendered))
             }
             Err(_interrupted) => JobState::Interrupted,
-        }
+        };
+        panic::catch_unwind(AssertUnwindSafe(run))
+            .unwrap_or_else(|payload| JobState::Failed(panic_message(payload.as_ref())))
     }
 }
 
@@ -560,12 +663,14 @@ mod tests {
             changed: Condvar::new(),
         });
         let worker = Worker {
-            jobs_dir: root.clone(),
-            cache: Arc::new(DiskCellStore::open(root.join("cache")).expect("cache dir")),
+            runner: Arc::new(JobRunner {
+                jobs_dir: root.clone(),
+                cache: Arc::new(DiskCellStore::open(root.join("cache")).expect("cache dir")),
+                fingerprints: Arc::new(FingerprintMemo::new()),
+                draining: Arc::new(AtomicBool::new(false)),
+            }),
             cache_max_bytes: None,
-            fingerprints: Arc::new(FingerprintMemo::new()),
             table: Arc::clone(&table),
-            draining: Arc::new(AtomicBool::new(false)),
         };
         let good = JobSpec {
             workloads: vec![JobWorkload {

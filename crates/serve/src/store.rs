@@ -64,6 +64,14 @@ impl DiskCellStore {
         self.dir.join(format!("{}.json", key.address()))
     }
 
+    /// Whether a cell file for `key` is on disk — one `stat`, counted
+    /// as neither a hit nor a miss and refreshing no recency. A file
+    /// that is present may still fail to parse; [`CellStore::get`]
+    /// then misses and the cell is recomputed.
+    pub fn contains(&self, key: &CellKey) -> bool {
+        self.path_of(key).is_file()
+    }
+
     /// Cells currently on disk.
     pub fn len(&self) -> usize {
         fs::read_dir(&self.dir)

@@ -470,6 +470,17 @@ impl FingerprintMemo {
         Some(fingerprint)
     }
 
+    /// The remembered fingerprint of `spec`'s program, without
+    /// counting a hit or a miss and without refreshing its recency —
+    /// for a caller that only asks whether a sweep could be answered,
+    /// and then runs it through [`Self::get`].
+    pub fn peek(&self, spec: &WorkloadSpec) -> Option<ProgramFingerprint> {
+        self.entries()
+            .iter()
+            .find(|(s, _)| s == spec)
+            .map(|&(_, fingerprint)| fingerprint)
+    }
+
     /// Remembers the fingerprint of a freshly built `spec`, forgetting
     /// the least recently used entry when the memo is full.
     pub(crate) fn insert(&self, spec: &WorkloadSpec, fingerprint: ProgramFingerprint) {
@@ -649,6 +660,34 @@ mod tests {
         memo.insert(&spec(0), fingerprint(0));
         assert_eq!(memo.len(), FINGERPRINT_MEMO_CAP);
         assert_eq!((memo.hits(), memo.misses()), (3, 1));
+    }
+
+    #[test]
+    fn fingerprint_memo_peek_counts_nothing_and_keeps_recency() {
+        let memo = FingerprintMemo::new();
+        let spec = |seed: u64| WorkloadSpec {
+            seed,
+            ..fe_cfg::workloads::nutch()
+        };
+        let fingerprint = |seed: u64| ProgramFingerprint {
+            blocks: seed,
+            digest: !seed,
+        };
+        let cap = FINGERPRINT_MEMO_CAP as u64;
+        for seed in 0..cap {
+            memo.insert(&spec(seed), fingerprint(seed));
+        }
+        assert_eq!(memo.peek(&spec(0)), Some(fingerprint(0)));
+        assert_eq!(memo.peek(&spec(cap)), None);
+        assert_eq!(
+            (memo.hits(), memo.misses()),
+            (0, 0),
+            "a peek counts nothing"
+        );
+        // Seed 0 was peeked, not used: it is still the least recent.
+        memo.insert(&spec(cap), fingerprint(cap));
+        assert_eq!(memo.peek(&spec(0)), None, "a peek refreshes no recency");
+        assert_eq!(memo.peek(&spec(1)), Some(fingerprint(1)));
     }
 
     #[test]

@@ -220,8 +220,9 @@ impl Experiment {
         self
     }
 
-    /// Sets the worker-thread count. `1` runs cells inline; results
-    /// are identical at any value.
+    /// Sets the worker-thread count. `1` runs every step on the
+    /// caller's thread and spawns none; results are identical at any
+    /// value.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
@@ -235,7 +236,8 @@ impl Experiment {
     }
 
     /// Installs a callback invoked after every completed cell — the
-    /// long-sweep progress hook. Called from worker threads.
+    /// long-sweep progress hook. Called from worker threads, or from
+    /// the caller's thread at `threads(1)`.
     pub fn on_progress(mut self, f: impl Fn(&ProgressEvent) + Send + Sync + 'static) -> Self {
         self.progress = Some(Box::new(f));
         self
@@ -703,7 +705,8 @@ impl Experiment {
 /// The sweep rules [`Experiment::run`] enforces, for anything that
 /// accepts a sweep on its behalf: at least one workload and one scheme,
 /// unique workload names and scheme labels (report cells are keyed by
-/// both), and a sampling shape that [fits](SamplingSpec::check_measure).
+/// both), schemes whose geometry [can be built](SchemeSpec::validate),
+/// and a sampling shape that [fits](SamplingSpec::check_measure).
 pub fn check_sweep(
     workloads: &[String],
     schemes: &[SchemeSpec],
@@ -725,6 +728,9 @@ pub fn check_sweep(
         if labels[..i].contains(label) {
             return Err(format!("duplicate scheme label `{label}`"));
         }
+    }
+    for scheme in schemes {
+        scheme.validate()?;
     }
     sampling.map_or(Ok(()), |spec| spec.check_measure(len.measure))
 }
@@ -820,19 +826,36 @@ fn parallel_indexed<T: Send>(
 /// `cancel` before *claiming* each index and stop claiming once it is
 /// set — already-claimed work always runs to completion, so a set flag
 /// never leaves a task half-done. Unclaimed slots come back `None`.
+///
+/// A step that would start at most one worker runs on the caller's
+/// thread instead, with the same per-index cancel check: no thread is
+/// spawned, and a panicking task reaches the caller with its own
+/// message.
 fn parallel_indexed_cancellable<T: Send>(
     count: usize,
     threads: usize,
     cancel: Option<&AtomicBool>,
     task: impl Fn(usize) -> T + Sync,
 ) -> Vec<Option<T>> {
+    let cancelled = || cancel.is_some_and(|flag| flag.load(Ordering::Relaxed));
+    let workers = threads.min(count);
+    if workers <= 1 {
+        let mut slots: Vec<Option<T>> = Vec::with_capacity(count);
+        for i in 0..count {
+            if cancelled() {
+                break;
+            }
+            slots.push(Some(task(i)));
+        }
+        slots.resize_with(count, || None);
+        return slots;
+    }
     let slots: Mutex<Vec<Option<T>>> = Mutex::new((0..count).map(|_| None).collect());
     let next = AtomicUsize::new(0);
-    let workers = threads.min(count).max(1);
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| loop {
-                if cancel.is_some_and(|flag| flag.load(Ordering::Relaxed)) {
+                if cancelled() {
                     return;
                 }
                 let i = next.fetch_add(1, Ordering::Relaxed);

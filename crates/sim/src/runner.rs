@@ -91,6 +91,53 @@ impl SchemeSpec {
         }
     }
 
+    /// Most entries any one structure of a scheme may have: 4× the
+    /// largest conventional BTB of Fig. 13's budget sweep (8K entries).
+    /// Applies to a Boomerang BTB and to each Shotgun U-BTB, C-BTB, RIB
+    /// and BTB prefetch buffer; bounds what one spec can allocate.
+    pub const MAX_ENTRIES: u32 = 4 * 8192;
+
+    /// Checks that the scheme's geometry can be built: every structure
+    /// has between 1 and [`Self::MAX_ENTRIES`] entries, and a Shotgun's
+    /// associativity is non-zero and no larger than its smallest
+    /// set-associative structure.
+    pub fn validate(&self) -> Result<(), String> {
+        let label = self.label();
+        let entries = |what: &str, n: u32| {
+            if (1..=Self::MAX_ENTRIES).contains(&n) {
+                Ok(())
+            } else {
+                Err(format!(
+                    "scheme `{label}`: {what} entries must be between 1 and {}, got {n}",
+                    Self::MAX_ENTRIES
+                ))
+            }
+        };
+        match self {
+            SchemeSpec::Boomerang { btb_entries } => entries("BTB", *btb_entries),
+            SchemeSpec::Shotgun(cfg) => {
+                entries("U-BTB", cfg.sizing.ubtb)?;
+                entries("C-BTB", cfg.sizing.cbtb)?;
+                entries("RIB", cfg.sizing.rib)?;
+                entries("prefetch buffer", cfg.prefetch_buffer)?;
+                let smallest = cfg.sizing.ubtb.min(cfg.sizing.cbtb).min(cfg.sizing.rib);
+                if (1..=smallest).contains(&cfg.ways) {
+                    Ok(())
+                } else {
+                    Err(format!(
+                        "scheme `{label}`: ways must be between 1 and the smallest \
+                         structure's {smallest} entries, got {}",
+                        cfg.ways
+                    ))
+                }
+            }
+            SchemeSpec::NoPrefetch
+            | SchemeSpec::Fdip
+            | SchemeSpec::Confluence
+            | SchemeSpec::Ideal => Ok(()),
+        }
+    }
+
     /// Instantiates the scheme for a machine configuration.
     pub fn build(&self, machine: &MachineConfig) -> EngineScheme {
         let ways = machine.front_end.btb_ways as usize;

@@ -1,13 +1,16 @@
-//! Tests of the `Experiment` session API: thread-count invariance,
-//! JSON round-tripping, and equivalence with the one-cell
-//! `run_scheme` wrapper.
+//! Tests of the `Experiment` session API: thread-count invariance, the
+//! one-thread inline path, JSON round-tripping, and equivalence with
+//! the one-cell `run_scheme` wrapper.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 
 use fe_cfg::{workloads, LayerSpec, WorkloadSpec};
 use fe_model::MachineConfig;
-use fe_sim::{run_scheme, Experiment, RunLength, SamplingSpec, SchemeSpec, SweepReport};
+use fe_sim::{
+    run_scheme, Experiment, Interrupted, MemoryCellStore, RunLength, SamplingSpec, SchemeSpec,
+    SweepReport,
+};
 use shotgun::ShotgunConfig;
 
 fn small_suite() -> Vec<WorkloadSpec> {
@@ -125,6 +128,70 @@ fn progress_callback_sees_every_cell() {
         })
         .run();
     assert_eq!(seen.load(Ordering::Relaxed), report.cells.len());
+}
+
+/// `threads(1)` spawns nothing: every step, progress callbacks
+/// included, runs on the caller's thread, and the report is the one
+/// two workers produce.
+#[test]
+fn one_thread_sweeps_on_the_callers_thread() {
+    let caller = std::thread::current().id();
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let threads_seen = Arc::clone(&seen);
+    let inline = Experiment::new(MachineConfig::table3())
+        .workloads(small_suite())
+        .schemes(schemes())
+        .len(RunLength::SMOKE)
+        .seed(5)
+        .threads(1)
+        .on_progress(move |_| {
+            threads_seen
+                .lock()
+                .unwrap()
+                .push(std::thread::current().id())
+        })
+        .run();
+    let seen = seen.lock().unwrap();
+    assert_eq!(seen.len(), inline.cells.len(), "one callback per cell");
+    assert!(
+        seen.iter().all(|&id| id == caller),
+        "a one-thread sweep calls back on the caller's thread"
+    );
+    assert_eq!(
+        inline.to_json(),
+        sweep(2).to_json(),
+        "one thread and two give byte-identical reports"
+    );
+}
+
+/// A one-thread sweep checks its cancel flag before each job, as the
+/// workers do: set before the run, it computes and stores nothing.
+#[test]
+fn one_thread_sweep_cancelled_up_front_computes_nothing() {
+    let store = Arc::new(MemoryCellStore::new());
+    let ticks = Arc::new(AtomicUsize::new(0));
+    let counter = Arc::clone(&ticks);
+    let result = Experiment::new(MachineConfig::table3())
+        .workloads(small_suite())
+        .schemes(schemes())
+        .len(RunLength::SMOKE)
+        .seed(5)
+        .threads(1)
+        .cell_store(store.clone())
+        .cancel_flag(Arc::new(AtomicBool::new(true)))
+        .on_progress(move |_| {
+            counter.fetch_add(1, Ordering::Relaxed);
+        })
+        .try_run();
+    assert_eq!(
+        result.err(),
+        Some(Interrupted {
+            completed: 0,
+            total: 6
+        })
+    );
+    assert_eq!(ticks.load(Ordering::Relaxed), 0, "no cell completed");
+    assert_eq!(store.puts(), 0, "no cell was put");
 }
 
 #[test]

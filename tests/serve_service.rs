@@ -1,16 +1,18 @@
 //! Experiment-service integration: resume after a mid-sweep shutdown,
-//! graceful-shutdown semantics, job ids across restarts, and job
-//! validation agreeing with `Experiment::run` (the TCP round trip lives
-//! in `serve_tcp.rs`). Computed cells are counted by each service's
-//! own cache writes, never by process-global state.
+//! graceful-shutdown semantics, job ids across restarts, fully cached
+//! jobs answered at submission, and job validation agreeing with
+//! `Experiment::run` (the TCP round trip lives in `serve_tcp.rs`).
+//! Computed cells are counted by each service's own cache writes, never
+//! by process-global state.
 
 use std::panic::{self, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 
 use fe_cfg::workloads;
 use fe_model::MachineConfig;
-use fe_serve::{ExperimentService, JobSpec, JobState, JobWorkload};
+use fe_serve::{ExperimentService, JobId, JobSpec, JobState, JobWorkload};
 use fe_sim::{Experiment, RunLength, SamplingSpec, SchemeSpec};
+use shotgun::ShotgunConfig;
 
 fn tmp_root(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("fe-serve-test-{tag}-{}", std::process::id()));
@@ -195,7 +197,37 @@ fn job_validation_matches_experiment_run() {
         detail: LEN.measure + 1,
         warmup: 10_000,
     });
-    for bad in [no_scheme, dup_workload, dup_scheme, bad_shape, too_short] {
+    let with_scheme = |scheme: SchemeSpec| JobSpec {
+        schemes: vec![SchemeSpec::NoPrefetch, scheme],
+        ..small_job()
+    };
+    let shotgun = |edit: fn(&mut ShotgunConfig)| {
+        let mut cfg = ShotgunConfig::default();
+        edit(&mut cfg);
+        with_scheme(SchemeSpec::Shotgun(cfg))
+    };
+    let bad_geometry = [
+        with_scheme(SchemeSpec::Boomerang { btb_entries: 0 }),
+        with_scheme(SchemeSpec::Boomerang {
+            btb_entries: 4_000_000_000,
+        }),
+        shotgun(|c| c.sizing.ubtb = 0),
+        shotgun(|c| c.sizing.cbtb = 0),
+        shotgun(|c| c.sizing.rib = 0),
+        shotgun(|c| c.ways = 0),
+        shotgun(|c| c.ways = c.sizing.cbtb + 1),
+        shotgun(|c| c.sizing.rib = SchemeSpec::MAX_ENTRIES + 1),
+        shotgun(|c| c.prefetch_buffer = 0),
+        shotgun(|c| c.prefetch_buffer = SchemeSpec::MAX_ENTRIES + 1),
+    ];
+    for bad in bad_geometry.iter() {
+        let refusal = JobSpec::from_json(&bad.to_json()).expect_err("the wire path refuses it");
+        assert!(refusal.contains("scheme `"), "names the scheme: {refusal}");
+    }
+    for bad in [no_scheme, dup_workload, dup_scheme, bad_shape, too_short]
+        .into_iter()
+        .chain(bad_geometry)
+    {
         let refusal = bad.validate().expect_err("the service refuses it");
         let mut experiment = Experiment::new(MachineConfig::table3())
             .workloads(bad.workloads.iter().map(|w| {
@@ -341,6 +373,169 @@ fn cached_resubmission_builds_no_program() {
     assert_eq!(memo.hits(), 2, "both specs are known");
     assert_eq!(memo.programs_built(), 2, "the cached job builds nothing");
     assert_eq!(warm, cold, "served bytes equal computed bytes");
+    drop(service);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A job long enough (well over 100 ms) to keep the worker busy while
+/// another job is submitted. Returns once its first cell is done, so the
+/// worker is known to be running it.
+fn occupy_worker(service: &ExperimentService) -> JobId {
+    let long = JobSpec {
+        seed: 77,
+        len: RunLength {
+            warmup: 100_000,
+            measure: 400_000,
+        },
+        ..small_job()
+    };
+    let (id, progress) = service.submit(&long).expect("accepts");
+    progress.recv().expect("the long job completes a cell");
+    id
+}
+
+/// Submits `spec`, waits for it, and returns its report.
+fn run_to_done(service: &ExperimentService, spec: &JobSpec) -> String {
+    let (id, _progress) = service.submit(spec).expect("accepts");
+    match service.wait(id) {
+        Some(JobState::Done(report)) => report.to_string(),
+        other => panic!("job must complete, got {other:?}"),
+    }
+}
+
+/// A resubmission whose every cell is cached is answered inside
+/// `submit`: it is `Done` on return, leaves a report but never a spec,
+/// returns the computed bytes, and looks every cell up exactly once.
+#[test]
+fn fully_cached_resubmission_is_answered_at_submission() {
+    let root = tmp_root("answered");
+    let service = ExperimentService::open(&root).expect("opens");
+    let spec = small_job();
+    let cells = spec.cell_count() as u64;
+    let cold = run_to_done(&service, &spec);
+    assert_eq!((service.queued(), service.answered()), (1, 0));
+
+    let cache = service.cache();
+    let memo = service.fingerprints();
+    let (puts, hits, misses) = (cache.puts(), cache.hits(), cache.misses());
+    let (memo_hits, memo_misses) = (memo.hits(), memo.misses());
+    let (id, progress) = service.submit(&spec).expect("accepts");
+    let Some(JobState::Done(report)) = service.state(id) else {
+        panic!("answered at submission, got {:?}", service.state(id));
+    };
+    assert_eq!(
+        job_files(&root),
+        ["1.report.json", "2.report.json"],
+        "a report and never a spec"
+    );
+    assert_eq!(report.as_str(), cold, "served bytes equal computed bytes");
+    assert_eq!(
+        std::fs::read_to_string(root.join("jobs").join(format!("{id}.report.json")))
+            .expect("report on disk"),
+        cold
+    );
+    let ticks: Vec<_> = progress.iter().collect();
+    assert_eq!(ticks.len() as u64, cells);
+    assert!(
+        ticks.iter().all(|t| t.cached),
+        "every cell served from cache"
+    );
+    assert_eq!(cache.puts(), puts, "nothing computed");
+    assert_eq!(cache.hits(), hits + cells, "one hit per cell");
+    assert_eq!(cache.misses(), misses);
+    assert_eq!(memo.hits(), memo_hits + 2, "one memo hit per workload");
+    assert_eq!(memo.misses(), memo_misses);
+    assert_eq!((service.queued(), service.answered()), (1, 1));
+    drop(service);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A fully cached job does not wait for the worker: submitted while the
+/// worker runs a long uncached job, it is answered first.
+#[test]
+fn cached_job_is_not_queued_behind_a_running_job() {
+    let root = tmp_root("overtake");
+    let service = ExperimentService::open(&root).expect("opens");
+    let mut spec = small_job();
+    spec.workloads.truncate(1);
+    let cold = run_to_done(&service, &spec);
+
+    let long = occupy_worker(&service);
+    let queued = service.queued();
+    let (id, _progress) = service.submit(&spec).expect("accepts");
+    assert!(
+        matches!(service.state(id), Some(JobState::Done(ref r)) if r.as_str() == cold),
+        "answered on return, got {:?}",
+        service.state(id)
+    );
+    assert!(
+        matches!(service.state(long), Some(JobState::Running)),
+        "the long job is still running, got {:?}",
+        service.state(long)
+    );
+    assert_eq!(service.queued(), queued, "the cached job was never queued");
+    assert!(matches!(service.wait(long), Some(JobState::Done(_))));
+    drop(service);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A job with one uncached cell takes the queue, and its spec is durable
+/// before `submit` returns.
+#[test]
+fn partially_cached_job_persists_its_spec_before_the_ack() {
+    let root = tmp_root("partial");
+    let service = ExperimentService::open(&root).expect("opens");
+    let mut spec = small_job();
+    spec.workloads.truncate(1);
+    run_to_done(&service, &spec);
+
+    let long = occupy_worker(&service);
+    spec.schemes.push(SchemeSpec::Confluence);
+    let (id, _progress) = service.submit(&spec).expect("accepts");
+    assert!(
+        root.join("jobs").join(format!("{id}.json")).exists(),
+        "the spec is on disk at the ack"
+    );
+    assert!(matches!(service.state(id), Some(JobState::Queued)));
+    assert_eq!(service.answered(), 0);
+    assert!(matches!(service.wait(long), Some(JobState::Done(_))));
+    assert!(matches!(service.wait(id), Some(JobState::Done(_))));
+    assert!(!root.join("jobs").join(format!("{id}.json")).exists());
+    drop(service);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A cell file that is present but unreadable passes the submission
+/// probe; the answering run misses it, computes the cell on the spot and
+/// still returns the computed bytes before the ack.
+#[test]
+fn corrupt_cell_is_recomputed_when_answering_at_submission() {
+    let root = tmp_root("corrupt");
+    let service = ExperimentService::open(&root).expect("opens");
+    let mut spec = small_job();
+    spec.workloads.truncate(1);
+    let cold = run_to_done(&service, &spec);
+
+    let cell = std::fs::read_dir(root.join("cache"))
+        .expect("cache dir")
+        .map(|e| e.expect("entry").path())
+        .find(|p| p.extension().is_some_and(|x| x == "json"))
+        .expect("a cached cell");
+    std::fs::write(&cell, b"{ torn").expect("corrupt the cell");
+    let puts = service.cache().puts();
+    let (id, progress) = service.submit(&spec).expect("accepts");
+    assert!(
+        matches!(service.state(id), Some(JobState::Done(ref r)) if r.as_str() == cold),
+        "answered on return with the computed bytes, got {:?}",
+        service.state(id)
+    );
+    assert_eq!(service.answered(), 1);
+    assert_eq!(progress.iter().filter(|t| !t.cached).count(), 1);
+    assert_eq!(
+        service.cache().puts(),
+        puts + 1,
+        "the one lost cell is re-put"
+    );
     drop(service);
     let _ = std::fs::remove_dir_all(&root);
 }
