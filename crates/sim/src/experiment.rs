@@ -35,6 +35,7 @@
 //! report.write_json("BENCH_headline.json").unwrap();
 //! ```
 
+use std::borrow::Cow;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -309,14 +310,15 @@ impl Experiment {
     /// Runs the sweep and derives per-cell metrics.
     ///
     /// Programs are built at most once per workload (and per distinct
-    /// mix member) and shared by reference — with a [fingerprint
-    /// memo](Self::fingerprints), only for workloads that simulate or
-    /// feed a mix; each single-context workload's retired
-    /// stream is then recorded once and replayed into every scheme
-    /// cell (see the module docs); cells fan out over scoped worker
-    /// threads — a mix runs as one job whose contexts interleave
-    /// deterministically, so reports are byte-identical at any thread
-    /// count. Panics if the sweep breaks [`check_sweep`], if a mix is
+    /// mix member) — with a [fingerprint memo](Self::fingerprints),
+    /// only for workloads that simulate or feed a mix; each
+    /// single-context workload's retired stream is then recorded once
+    /// and replayed into every scheme cell (see the module docs). Each
+    /// single workload is one job on the scoped worker threads, owning
+    /// its program and trace only while it runs, so at most `threads`
+    /// workloads are resident at once; a mix runs one job per scheme
+    /// whose contexts interleave deterministically, so reports are
+    /// byte-identical at any thread count. Panics if the sweep breaks [`check_sweep`], if a mix is
     /// sampled, or if a configured baseline is not among the schemes.
     pub fn run(self) -> SweepReport {
         self.try_run()
@@ -382,16 +384,6 @@ impl Experiment {
         let mix_jobs = mixes.len() * n_schemes;
         // Total *cells* — what progress events and `Interrupted` count.
         let total = mix_jobs + workloads.len() * n_schemes;
-        // A single-context workload is ONE job covering all its scheme
-        // cells: its uncached cells run one after another, a
-        // full-detail cell as a one-cell run and a sampled group with
-        // one shared initial warm (see the `batch` module). A mix keeps
-        // one job per (mix, scheme).
-        let jobs = mix_jobs + workloads.len();
-
-        // Step 1, fingerprints: a memo hit names a workload's program
-        // without building it; a miss (or no memo) builds it here and
-        // teaches the memo its fingerprint.
         let memo = fingerprint_memo.as_deref();
         let build = |spec: &WorkloadSpec| {
             if let Some(memo) = memo {
@@ -399,126 +391,50 @@ impl Experiment {
             }
             spec.build()
         };
-        let resolved: Vec<(ProgramFingerprint, Option<Program>)> =
-            parallel_indexed(workloads.len(), threads, |wi| {
-                let spec = &workloads[wi];
-                if let Some(fingerprint) = memo.and_then(|m| m.get(spec)) {
-                    return (fingerprint, None);
-                }
-                let program = build(spec);
-                let fingerprint = ProgramFingerprint::of(&program);
-                if let Some(memo) = memo {
-                    memo.insert(spec, fingerprint);
-                }
-                (fingerprint, Some(program))
-            });
-        let (fingerprints, mut programs): (Vec<ProgramFingerprint>, Vec<Option<Program>>) =
-            resolved.into_iter().unzip();
 
-        // Step 2, cache consult: resolve every single-workload cell's
-        // content address and load whatever the store already holds.
-        // Mix cells are interference-coupled and never cached.
-        let keys: Vec<Option<CellKey>> = (0..total)
-            .map(|cell| {
-                if cell_store.is_none() || cell < mix_jobs {
-                    return None;
-                }
-                let (wi, si) = ((cell - mix_jobs) / n_schemes, (cell - mix_jobs) % n_schemes);
-                Some(CellKey::for_cell(
-                    fingerprints[wi],
-                    &machine,
-                    &schemes[si],
-                    len,
-                    seed,
-                    sampling,
-                ))
-            })
-            .collect();
-        let cached: Vec<Option<CellValue>> = keys
-            .iter()
-            .map(|key| {
-                let key = key.as_ref()?;
-                cell_store.as_ref()?.get(key)
-            })
-            .collect();
-        let fully_cached: Vec<bool> = (0..workloads.len())
-            .map(|wi| (0..n_schemes).all(|si| cached[mix_jobs + wi * n_schemes + si].is_some()))
-            .collect();
-
-        // Step 3, synthesis of what must simulate: a workload with an
-        // uncached cell, or one whose program a mix member reuses.
-        let mix_member_specs: Vec<&WorkloadSpec> =
-            mixes.iter().flat_map(|m| m.members.iter()).collect();
-        let missing: Vec<usize> = (0..workloads.len())
-            .filter(|&wi| {
-                programs[wi].is_none()
-                    && (!fully_cached[wi] || mix_member_specs.contains(&&workloads[wi]))
-            })
-            .collect();
-        let built = parallel_indexed(missing.len(), threads, |k| build(&workloads[missing[k]]));
-        for (wi, program) in missing.into_iter().zip(built) {
-            programs[wi] = Some(program);
-        }
-        let program_of = |wi: usize| -> &Program {
-            programs[wi]
-                .as_ref()
-                .expect("step 3 builds every workload that simulates or feeds a mix")
-        };
-        // Mix member programs: build each *distinct* member spec once —
-        // a homogeneous mix shares one build across all its copies, and
-        // a member equal to a single workload reuses its build. Slot
-        // indices below `workloads.len()` point into `programs`, the
-        // rest into `unique_programs`.
-        let mut unique_specs: Vec<&WorkloadSpec> = Vec::new();
-        let member_slot: Vec<usize> = mix_member_specs
-            .iter()
-            .map(|spec| {
-                workloads
-                    .iter()
-                    .position(|w| w == *spec)
-                    .or_else(|| {
-                        unique_specs
-                            .iter()
-                            .position(|u| u == spec)
-                            .map(|ui| workloads.len() + ui)
-                    })
-                    .unwrap_or_else(|| {
-                        unique_specs.push(spec);
-                        workloads.len() + unique_specs.len() - 1
-                    })
-            })
-            .collect();
-        let unique_programs =
-            parallel_indexed(unique_specs.len(), threads, |i| build(unique_specs[i]));
-        let program_at = |slot: usize| -> &Program {
-            if slot < workloads.len() {
-                program_of(slot)
-            } else {
-                &unique_programs[slot - workloads.len()]
+        // Step 1, mix members: every mix job needs its members'
+        // programs, so each *distinct* member spec is built once, up
+        // front, and held for the whole sweep — a homogeneous mix
+        // shares one build across all its copies, and a single
+        // workload equal to a member borrows it in step 2.
+        let mut member_specs: Vec<&WorkloadSpec> = Vec::new();
+        for spec in mixes.iter().flat_map(|m| m.members.iter()) {
+            if !member_specs.contains(&spec) {
+                member_specs.push(spec);
             }
-        };
-        let mut mix_programs: Vec<Vec<&Program>> = Vec::with_capacity(mixes.len());
-        let mut offset = 0;
-        for mix in &mixes {
-            mix_programs.push(
-                (0..mix.members.len())
-                    .map(|k| program_at(member_slot[offset + k]))
-                    .collect(),
-            );
-            offset += mix.members.len();
         }
+        let built =
+            parallel_indexed_cancellable(member_specs.len(), threads, cancel.as_deref(), |i| {
+                build(member_specs[i])
+            });
+        let Some(member_programs) = built.into_iter().collect::<Option<Vec<Program>>>() else {
+            return Err(Interrupted {
+                completed: 0,
+                total,
+            });
+        };
+        let member_program = |spec: &WorkloadSpec| {
+            let at = member_specs.iter().position(|s| *s == spec)?;
+            Some(&member_programs[at])
+        };
 
-        // Record once, replay many: one executor walk per workload
-        // feeds every scheme cell. Recorded length covers the run plus
-        // the pipeline's bounded lookahead, so no scheme can outrun it.
-        // A workload whose every cell came out of the cache skips the
-        // walk and the recording entirely.
+        // Step 2, one job per mix × scheme, then one per single
+        // workload. A workload's job resolves its fingerprint from the
+        // memo (or from a build, which teaches the memo), consults the
+        // store for every scheme cell, and only if a cell is uncached
+        // builds the program (unless it already has it), obtains the
+        // trace — record once, replay many: one executor walk, covering
+        // the run plus the pipeline's bounded lookahead, feeds every
+        // scheme cell — and runs the uncached cells one after another:
+        // a full-detail cell as a one-cell run, a sampled group with one
+        // shared initial warm (see the `batch` module). The job drops
+        // its program and trace before its thread claims the next job,
+        // so a sweep holds at most `threads` workloads (plus the mix
+        // members) however many it runs. The `sampling` binary's six
+        // workloads at full scale and two threads peak at ~26 MiB this
+        // way, against ~37 MiB when every workload stayed resident
+        // (2-core host, one malloc arena).
         let needed_instrs = len.trace_instrs(&machine);
-        let traces: Vec<Option<Trace>> = parallel_indexed(workloads.len(), threads, |wi| {
-            (!fully_cached[wi])
-                .then(|| obtain_trace(program_of(wi), seed, needed_instrs, trace_dir.as_deref()))
-        });
-
         let completed = AtomicUsize::new(0);
         // Each job yields the stats of its cells (one per scheme for a
         // single workload, one per member for a mix), plus the sampling
@@ -536,24 +452,18 @@ impl Experiment {
                 });
             }
         };
-        let store_cell = |cell_idx: usize, cell: &CellResult| {
-            if let (Some(store), Some(key)) = (&cell_store, &keys[cell_idx]) {
-                store.put(
-                    key,
-                    &CellValue {
-                        stats: cell.0.clone(),
-                        sampling: cell.1.clone(),
-                    },
-                );
-            }
-        };
+        let jobs = mix_jobs + workloads.len();
         let results: Vec<Option<Vec<CellResult>>> =
             parallel_indexed_cancellable(jobs, threads, cancel.as_deref(), |job| {
                 if job < mix_jobs {
                     let (mi, si) = (job / n_schemes, job % n_schemes);
-                    let members = mix_programs[mi]
+                    let members = mixes[mi]
+                        .members
                         .iter()
-                        .map(|p| (*p, schemes[si].build(&machine)))
+                        .map(|spec| {
+                            let program = member_program(spec).expect("step 1 built every member");
+                            (program, schemes[si].build(&machine))
+                        })
                         .collect();
                     let multi =
                         MultiSimulator::new(&machine, members, seed).run(len.warmup, len.measure);
@@ -566,27 +476,54 @@ impl Experiment {
                     return stats;
                 }
 
-                let wi = job - mix_jobs;
-                let name = workloads[wi].name.as_str();
-                let mut cells: Vec<Option<CellResult>> = vec![None; n_schemes];
-                let mut uncached: Vec<usize> = Vec::new();
-                for si in 0..n_schemes {
-                    match &cached[mix_jobs + wi * n_schemes + si] {
-                        Some(value) => {
-                            cells[si] = Some((value.stats.clone(), value.sampling.clone()));
-                            emit(name, si, true);
+                let spec = &workloads[job - mix_jobs];
+                let name = spec.name.as_str();
+                let mut program = member_program(spec).map(Cow::Borrowed);
+                let fingerprint = match memo.and_then(|m| m.get(spec)) {
+                    Some(fingerprint) => fingerprint,
+                    None => {
+                        let fingerprint = ProgramFingerprint::of(
+                            program.get_or_insert_with(|| Cow::Owned(build(spec))),
+                        );
+                        if let Some(memo) = memo {
+                            memo.insert(spec, fingerprint);
                         }
-                        None => uncached.push(si),
+                        fingerprint
                     }
-                }
-                let mut finish = |si: usize, cell: CellResult| {
-                    store_cell(mix_jobs + wi * n_schemes + si, &cell);
-                    cells[si] = Some(cell);
-                    emit(name, si, false);
                 };
-                // Only a workload with an uncached cell has a trace.
-                if let Some(trace) = &traces[wi] {
-                    let program = program_of(wi);
+                // Only single-workload cells are cached: mix cells are
+                // interference-coupled.
+                let store = cell_store.as_deref().map(|store| {
+                    let keys: Vec<CellKey> = schemes
+                        .iter()
+                        .map(|s| CellKey::for_cell(fingerprint, &machine, s, len, seed, sampling))
+                        .collect();
+                    (store, keys)
+                });
+                let mut cells: Vec<Option<CellResult>> = (0..n_schemes)
+                    .map(|si| {
+                        let (store, keys) = store.as_ref()?;
+                        let value = store.get(&keys[si])?;
+                        emit(name, si, true);
+                        Some((value.stats, value.sampling))
+                    })
+                    .collect();
+                let uncached: Vec<usize> =
+                    (0..n_schemes).filter(|&si| cells[si].is_none()).collect();
+                if !uncached.is_empty() {
+                    let program: &Program = program.get_or_insert_with(|| Cow::Owned(build(spec)));
+                    let trace = obtain_trace(program, seed, needed_instrs, trace_dir.as_deref());
+                    let mut finish = |si: usize, cell: CellResult| {
+                        if let Some((store, keys)) = &store {
+                            let value = CellValue {
+                                stats: cell.0.clone(),
+                                sampling: cell.1.clone(),
+                            };
+                            store.put(&keys[si], &value);
+                        }
+                        cells[si] = Some(cell);
+                        emit(name, si, false);
+                    };
                     match sampling {
                         None => {
                             for &si in &uncached {
@@ -605,7 +542,7 @@ impl Experiment {
                                 uncached.iter().map(|&si| schemes[si].clone()).collect();
                             run_sampled_group(
                                 program,
-                                trace,
+                                &trace,
                                 &machine,
                                 seed,
                                 len,
@@ -800,32 +737,26 @@ fn obtain_trace(
 /// opening blocks against a fresh walk catches divergence where it
 /// first appears (seeding, RNG draws, dispatch selection); on mismatch
 /// the caller silently re-records.
+///
+/// The probe decodes through the fallible [`Trace::reader`], so a
+/// recording whose payload was damaged under a recomputed checksum and
+/// fails to decode inside the probed blocks is re-recorded too. Damage
+/// past the probe window still reaches the replayer, which panics on
+/// it (ROADMAP item 13).
 fn cached_trace_matches_live(trace: &Trace, program: &Program, seed: u64) -> bool {
-    use fe_model::BlockSource;
     const PROBE_BLOCKS: u64 = 1024;
     let mut live = fe_cfg::Executor::new(program, seed);
-    let mut replay = trace.replayer();
+    let mut recorded = trace.reader();
     (0..PROBE_BLOCKS.min(trace.header().block_count))
-        .all(|_| replay.next_block() == Some(live.next_block()))
+        .all(|_| recorded.next().and_then(Result::ok) == Some(live.next_block()))
 }
 
 /// Runs `task(0..count)` across up to `threads` scoped workers and
 /// returns the results in index order, whatever the completion order.
-fn parallel_indexed<T: Send>(
-    count: usize,
-    threads: usize,
-    task: impl Fn(usize) -> T + Sync,
-) -> Vec<T> {
-    parallel_indexed_cancellable(count, threads, None, task)
-        .into_iter()
-        .map(|slot| slot.expect("no cancel flag: every cell completes"))
-        .collect()
-}
-
-/// [`parallel_indexed`] with cooperative cancellation: workers check
-/// `cancel` before *claiming* each index and stop claiming once it is
-/// set — already-claimed work always runs to completion, so a set flag
-/// never leaves a task half-done. Unclaimed slots come back `None`.
+/// Cancellation is cooperative: workers check `cancel` before
+/// *claiming* each index and stop claiming once it is set —
+/// already-claimed work always runs to completion, so a set flag never
+/// leaves a task half-done. Unclaimed slots come back `None`.
 ///
 /// A step that would start at most one worker runs on the caller's
 /// thread instead, with the same per-index cancel check: no thread is

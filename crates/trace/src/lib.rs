@@ -74,6 +74,7 @@
 //! index — see the [`store`] module docs. Each reader rejects the
 //! other version with a named [`TraceError::UnsupportedVersion`].
 
+use std::io::Write;
 use std::path::Path;
 
 use fe_cfg::{Executor, Program};
@@ -280,12 +281,13 @@ impl Trace {
         self
     }
 
-    /// Serializes the trace (header + payload).
-    pub fn to_bytes(&self) -> Vec<u8> {
+    /// The serialized header and name, sealed with the checksum of the
+    /// whole trace: the bytes that precede the payload.
+    fn sealed_header(&self) -> Vec<u8> {
         let h = &self.header;
         let name = h.name.as_bytes();
         assert!(name.len() <= u16::MAX as usize, "trace name too long");
-        let mut out = Vec::with_capacity(HEADER_FIXED_LEN + name.len() + self.payload.len());
+        let mut out = Vec::with_capacity(HEADER_FIXED_LEN + name.len());
         out.extend_from_slice(&MAGIC);
         out.extend_from_slice(&VERSION.to_le_bytes());
         out.extend_from_slice(&0u16.to_le_bytes()); // flags (reserved)
@@ -298,11 +300,17 @@ impl Trace {
         out.extend_from_slice(&0u64.to_le_bytes()); // checksum placeholder
         out.extend_from_slice(&(name.len() as u16).to_le_bytes());
         out.extend_from_slice(name);
-        out.extend_from_slice(&self.payload);
         // Checksum the whole trace with the checksum field read as
         // zero (which the placeholder already is), then patch it in.
-        let checksum = fnv1a(&out);
+        let checksum = fnv1a_update(fnv1a(&out), &self.payload);
         out[CHECKSUM_RANGE].copy_from_slice(&checksum.to_le_bytes());
+        out
+    }
+
+    /// Serializes the trace (header + payload).
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut out = self.sealed_header();
+        out.extend_from_slice(&self.payload);
         out
     }
 
@@ -310,6 +318,16 @@ impl Trace {
     /// and checksum — truncated or bit-flipped files are rejected here
     /// with a descriptive [`TraceError`].
     pub fn from_bytes(bytes: &[u8]) -> Result<Trace, TraceError> {
+        let (header, payload) = Trace::validate(bytes)?;
+        Ok(Trace {
+            header,
+            payload: bytes[payload].to_vec(),
+        })
+    }
+
+    /// The checks behind [`Self::from_bytes`] and [`Self::read_from`]:
+    /// returns the header and where the payload sits in `bytes`.
+    fn validate(bytes: &[u8]) -> Result<(TraceHeader, std::ops::Range<usize>), TraceError> {
         if bytes.len() < HEADER_FIXED_LEN {
             return Err(if bytes.get(..4).is_some_and(|m| m == MAGIC) {
                 TraceError::Truncated {
@@ -379,29 +397,38 @@ impl Trace {
         let name = std::str::from_utf8(&bytes[HEADER_FIXED_LEN..HEADER_FIXED_LEN + name_len])
             .map_err(|_| TraceError::Corrupt("trace name is not UTF-8".into()))?
             .to_string();
-        let payload = bytes
-            [HEADER_FIXED_LEN + name_len..HEADER_FIXED_LEN + name_len + payload_len as usize]
-            .to_vec();
-        Ok(Trace {
-            header: TraceHeader {
-                name,
-                seed,
-                block_count,
-                instr_count,
-                fingerprint,
-            },
-            payload,
-        })
+        let header = TraceHeader {
+            name,
+            seed,
+            block_count,
+            instr_count,
+            fingerprint,
+        };
+        Ok((header, HEADER_FIXED_LEN + name_len..total as usize))
     }
 
-    /// Writes the serialized trace to `path`.
+    /// Writes the serialized trace to `path`: the same bytes as
+    /// [`Self::to_bytes`], with the payload written straight from
+    /// memory rather than through a serialized copy.
     pub fn write_to(&self, path: impl AsRef<Path>) -> Result<(), TraceError> {
-        Ok(std::fs::write(path, self.to_bytes())?)
+        let mut file = std::fs::File::create(path)?;
+        file.write_all(&self.sealed_header())?;
+        file.write_all(&self.payload)?;
+        Ok(())
     }
 
-    /// Reads and validates a trace file.
+    /// Reads and validates a trace file, with the checks of
+    /// [`Self::from_bytes`]. The file buffer becomes the payload, so a
+    /// load holds one copy of the trace, not two.
     pub fn read_from(path: impl AsRef<Path>) -> Result<Trace, TraceError> {
-        Trace::from_bytes(&std::fs::read(path)?)
+        let mut bytes = std::fs::read(path)?;
+        let (header, payload) = Trace::validate(&bytes)?;
+        bytes.truncate(payload.end);
+        bytes.drain(..payload.start);
+        Ok(Trace {
+            header,
+            payload: bytes,
+        })
     }
 }
 
@@ -634,6 +661,20 @@ mod tests {
     }
 
     #[test]
+    fn write_to_writes_exactly_to_bytes() {
+        let (_, trace) = small_trace();
+        let empty = TraceWriter::new("é", 1, trace.header().fingerprint).finish();
+        let path =
+            std::env::temp_dir().join(format!("fe_trace_write_to_{}.fetr", std::process::id()));
+        for trace in [trace, empty] {
+            trace.write_to(&path).expect("write");
+            let written = std::fs::read(&path).expect("read back");
+            assert_eq!(written, trace.to_bytes());
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
     fn truncated_and_corrupt_files_are_rejected() {
         let (_, trace) = small_trace();
         let bytes = trace.to_bytes();
@@ -742,8 +783,22 @@ mod tests {
     }
 
     /// Loads `bytes` every way the crate can, replaying whatever loads
-    /// in full: any of these panicking fails the property below.
+    /// in full: any of these panicking fails the property below. A
+    /// file holding `bytes` must load through [`Trace::read_from`]
+    /// exactly as the bytes do through [`Trace::from_bytes`]: the same
+    /// trace, or an error that reads the same.
     fn load_and_replay(bytes: &[u8]) {
+        let path = std::env::temp_dir().join(format!(
+            "fe_trace_decoder_property_{}.fetr",
+            std::process::id()
+        ));
+        std::fs::write(&path, bytes).expect("write the probe file");
+        let outcome = |loaded: Result<Trace, TraceError>| loaded.map_err(|e| e.to_string());
+        assert_eq!(
+            outcome(Trace::read_from(&path)),
+            outcome(Trace::from_bytes(bytes))
+        );
+        let _ = std::fs::remove_file(&path);
         if let Ok(trace) = Trace::from_bytes(bytes) {
             trace.reader().for_each(drop);
         }

@@ -5,11 +5,11 @@
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use fe_cfg::{workloads, LayerSpec, WorkloadSpec};
+use fe_cfg::{workloads, LayerSpec, MixSpec, WorkloadSpec};
 use fe_model::MachineConfig;
 use fe_sim::{
-    run_scheme, Experiment, Interrupted, MemoryCellStore, RunLength, SamplingSpec, SchemeSpec,
-    SweepReport,
+    run_scheme, Experiment, FingerprintMemo, Interrupted, MemoryCellStore, RunLength, SamplingSpec,
+    SchemeSpec, SweepReport,
 };
 use shotgun::ShotgunConfig;
 
@@ -29,6 +29,12 @@ fn small_suite() -> Vec<WorkloadSpec> {
         },
         workloads::nutch().scaled(0.15),
     ]
+}
+
+fn temp_dir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("fe-experiment-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
 }
 
 fn schemes() -> Vec<SchemeSpec> {
@@ -165,10 +171,13 @@ fn one_thread_sweeps_on_the_callers_thread() {
 }
 
 /// A one-thread sweep checks its cancel flag before each job, as the
-/// workers do: set before the run, it computes and stores nothing.
+/// workers do: set before the run, it builds no program, records no
+/// trace, and computes and stores nothing.
 #[test]
 fn one_thread_sweep_cancelled_up_front_computes_nothing() {
     let store = Arc::new(MemoryCellStore::new());
+    let memo = Arc::new(FingerprintMemo::new());
+    let trace_dir = temp_dir("cancelled-up-front");
     let ticks = Arc::new(AtomicUsize::new(0));
     let counter = Arc::clone(&ticks);
     let result = Experiment::new(MachineConfig::table3())
@@ -178,6 +187,8 @@ fn one_thread_sweep_cancelled_up_front_computes_nothing() {
         .seed(5)
         .threads(1)
         .cell_store(store.clone())
+        .fingerprints(Arc::clone(&memo))
+        .trace_dir(&trace_dir)
         .cancel_flag(Arc::new(AtomicBool::new(true)))
         .on_progress(move |_| {
             counter.fetch_add(1, Ordering::Relaxed);
@@ -192,6 +203,115 @@ fn one_thread_sweep_cancelled_up_front_computes_nothing() {
     );
     assert_eq!(ticks.load(Ordering::Relaxed), 0, "no cell completed");
     assert_eq!(store.puts(), 0, "no cell was put");
+    assert_eq!(memo.programs_built(), 0, "no program was built");
+    let recorded = std::fs::read_dir(&trace_dir).map_or(0, |entries| entries.count());
+    assert_eq!(recorded, 0, "no trace was recorded");
+    let _ = std::fs::remove_dir_all(&trace_dir);
+}
+
+/// A flag set while a one-thread sweep runs lets the workload in
+/// flight finish its cells, then stops: the next workload's program is
+/// never built.
+#[test]
+fn one_thread_sweep_cancelled_mid_run_builds_only_the_workload_in_flight() {
+    let memo = Arc::new(FingerprintMemo::new());
+    let cancel = Arc::new(AtomicBool::new(false));
+    let flag = Arc::clone(&cancel);
+    let result = Experiment::new(MachineConfig::table3())
+        .workloads(small_suite())
+        .schemes(schemes())
+        .len(RunLength::SMOKE)
+        .seed(5)
+        .threads(1)
+        .fingerprints(Arc::clone(&memo))
+        .cancel_flag(cancel)
+        .on_progress(move |_| flag.store(true, Ordering::Relaxed))
+        .try_run();
+    assert_eq!(
+        result.err(),
+        Some(Interrupted {
+            completed: 3,
+            total: 6
+        }),
+        "the first workload's cells complete, the second's never start"
+    );
+    assert_eq!(memo.programs_built(), 1, "only the first workload built");
+}
+
+/// Which workload a job runs, and on how many threads, changes nothing
+/// a caller can see: over three workloads and a mix whose members are
+/// two of them, against a store that holds some of the cells, one, two
+/// and four threads give byte-identical reports and serve the same
+/// cells from the cache.
+#[test]
+fn thread_count_changes_neither_report_nor_cache_use() {
+    let len = RunLength {
+        warmup: 20_000,
+        measure: 50_000,
+    };
+    let suite = [
+        small_suite().remove(0),
+        workloads::nutch().scaled(0.05),
+        workloads::zeus().scaled(0.05),
+    ];
+    let mix = MixSpec::new("pair", vec![suite[1].clone(), suite[2].clone()]);
+    let sweep = |workloads: &[WorkloadSpec], schemes: &[SchemeSpec], threads: usize| {
+        Experiment::new(MachineConfig::table3())
+            .workloads(workloads.iter().cloned())
+            .schemes(schemes.iter().cloned())
+            .len(len)
+            .seed(5)
+            .threads(threads)
+    };
+    let runs: Vec<_> = [1, 2, 4]
+        .into_iter()
+        .map(|threads| {
+            // The first workload is fully cached, the second has one
+            // cell cached and the third none.
+            let store = Arc::new(MemoryCellStore::new());
+            sweep(&suite[..1], &schemes(), threads)
+                .cell_store(store.clone())
+                .run();
+            sweep(&suite[1..2], &schemes()[..1], threads)
+                .cell_store(store.clone())
+                .run();
+            let before = [store.hits(), store.misses(), store.puts()];
+            let events = Arc::new(Mutex::new(Vec::new()));
+            let seen = Arc::clone(&events);
+            let report = sweep(&suite, &schemes(), threads)
+                .mix(mix.clone())
+                .cell_store(store.clone())
+                .on_progress(move |e| {
+                    let cell = (e.workload.0.clone(), e.scheme.clone(), e.cached);
+                    seen.lock().unwrap().push(cell);
+                })
+                .run();
+            let mut events = events.lock().unwrap().clone();
+            events.sort();
+            let counts = [
+                store.hits() - before[0],
+                store.misses() - before[1],
+                store.puts() - before[2],
+            ];
+            (report.to_json(), events, counts)
+        })
+        .collect();
+    let (json, events, counts) = &runs[0];
+    assert_eq!(
+        events.iter().filter(|(_, _, cached)| *cached).count(),
+        4,
+        "three cells of the first workload and one of the second are served"
+    );
+    assert_eq!(
+        *counts,
+        [4, 5, 5],
+        "every uncached single-workload cell computes once"
+    );
+    for (other, threads) in runs[1..].iter().zip([2, 4]) {
+        assert_eq!(other.0, *json, "{threads} threads: report bytes differ");
+        assert_eq!(other.1, *events, "{threads} threads: other cells served");
+        assert_eq!(other.2, *counts, "{threads} threads: store counts differ");
+    }
 }
 
 #[test]

@@ -6,7 +6,7 @@
 
 use fe_cfg::{workloads, Executor};
 use fe_model::{BlockSource, MachineConfig};
-use fe_sim::{run_scheme, run_scheme_replayed, RunLength, SchemeSpec};
+use fe_sim::{run_scheme, run_scheme_replayed, Experiment, RunLength, SchemeSpec};
 use fe_trace::Trace;
 use proptest::prelude::*;
 
@@ -18,6 +18,59 @@ const LEN: RunLength = RunLength {
 fn named_workload(index: usize) -> fe_cfg::WorkloadSpec {
     let all = workloads::all();
     all[index % all.len()].clone().scaled(0.04)
+}
+
+/// Recomputes a serialized trace's whole-file FNV-1a checksum (bytes
+/// 56..64, hashed as zero) after an edit, so the edit gets past the
+/// checksum to the decoder.
+fn reseal(bytes: &mut [u8]) {
+    bytes[56..64].fill(0);
+    let checksum = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    bytes[56..64].copy_from_slice(&checksum.to_le_bytes());
+}
+
+/// A recording in the trace directory whose payload was damaged under
+/// a recomputed checksum, and which fails to decode inside the opening
+/// blocks a sweep checks against a live walk, is re-recorded instead of
+/// replayed: the sweep does not panic, and its report is a fresh run's.
+#[test]
+fn resealed_damaged_recording_is_re_recorded() {
+    let dir = std::env::temp_dir().join(format!("fe-damaged-trace-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let sweep = || {
+        Experiment::new(MachineConfig::table3())
+            .workload(workloads::nutch().scaled(0.05))
+            .schemes([SchemeSpec::NoPrefetch])
+            .len(LEN)
+            .seed(7)
+            .threads(1)
+            .trace_dir(&dir)
+            .run()
+            .to_json()
+    };
+    let fresh = sweep();
+    let path = dir.join(format!("nutch-{:016x}.fetr", 7));
+    let recorded = std::fs::read(&path).expect("the sweep persisted its recording");
+    let payload_start = recorded.len() - Trace::from_bytes(&recorded).unwrap().payload_len();
+    let mut damaged = recorded.clone();
+    damaged[payload_start + 100..payload_start + 120].fill(0xff);
+    reseal(&mut damaged);
+    let loaded = Trace::from_bytes(&damaged).expect("the damage is under a valid checksum");
+    assert!(
+        loaded.reader().take(1024).any(|record| record.is_err()),
+        "the damage fails to decode within the first 1024 blocks"
+    );
+    std::fs::write(&path, &damaged).unwrap();
+
+    assert_eq!(sweep(), fresh, "the re-recorded sweep matches a fresh one");
+    assert_eq!(
+        std::fs::read(&path).unwrap(),
+        recorded,
+        "the damaged file was replaced by a fresh recording"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
